@@ -9,6 +9,19 @@ letters, parity-1 letters are the odd ones.
 Letters are opaque strings at the API boundary.  Internally the rest of the
 package works with letter indices (positions in the alphabet), which this
 module translates in both directions.
+
+Parity decides where equal letters may meet (Berele and Regev): an equal
+pair may sit side by side in a row only at a parity-0 letter, and one above
+the other in a column only at a parity-1 letter.  Every alphabet holds this
+rule as two tables over letter indices,
+
+  * row_next[a] = a + parity(a), the smallest letter allowed right of a in
+    a row, and
+  * col_next[a] = a + 1 - parity(a), the smallest letter allowed below a in
+    a column,
+
+so each order test elsewhere is one comparison.  The tables are dual:
+b >= row_next[a] exactly when a < col_next[b].
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from .errors import AlphabetError, ForeignLetterError
 class SignedAlphabet:
     """An immutable ordered alphabet with a parity attached to every letter."""
 
-    __slots__ = ("letters", "parities", "_index", "_hash")
+    __slots__ = ("letters", "parities", "row_next", "col_next", "_index", "_hash")
 
     def __init__(self, letters: Iterable[str], parities: Iterable[int]):
         letters = tuple(letters)
@@ -37,6 +50,7 @@ class SignedAlphabet:
         for p in parities:
             if p not in (0, 1):
                 raise AlphabetError("parity must be 0 or 1, got %r" % (p,))
+        parities = tuple([int(p) for p in parities])
         index: dict[str, int] = {}
         for i, sym in enumerate(letters):
             if sym in index:
@@ -44,6 +58,8 @@ class SignedAlphabet:
             index[sym] = i
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "parities", parities)
+        object.__setattr__(self, "row_next", tuple([a + p for a, p in enumerate(parities)]))
+        object.__setattr__(self, "col_next", tuple([a + 1 - p for a, p in enumerate(parities)]))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash((letters, parities)))
 

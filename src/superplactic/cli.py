@@ -25,7 +25,7 @@ from .bumping import (
     row_insert_trace,
     tableau_of_word,
 )
-from .errors import SuperplacticError
+from .errors import HypothesisError, SuperplacticError
 from .plactic import (
     canonical_word,
     greene_col,
@@ -43,7 +43,6 @@ from .rsk import (
     rsk_inverse,
     symmetry_probe,
 )
-from .errors import HypothesisError
 from .shape import as_partition
 from .tableau import (
     Word,
@@ -64,6 +63,10 @@ def _load_alphabet(path: str):
     return alphabet_from_json(_load_json(path))
 
 
+def _load_alphabet_pair(l_path: str, p_path: str):
+    return _load_alphabet(l_path), _load_alphabet(p_path)
+
+
 def _load_tableau(path: str, alphabet):
     return tableau_from_json(_load_json(path), alphabet)
 
@@ -81,7 +84,12 @@ def _parse_word(text: str, alphabet) -> Word:
 def _parse_shape(text: str):
     if text.strip() == "":
         return ()
-    return as_partition(int(s.strip()) for s in text.split(","))
+    try:
+        parts = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise click.BadParameter("%r is not a comma-separated list of integers" % text,
+                                 param_hint="'--shape'") from None
+    return as_partition(parts)
 
 
 def _emit(obj: dict) -> None:
@@ -98,6 +106,14 @@ _alphabet_option = click.option(
 _json_option = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 
 
+def _alphabet_pair_options(required: bool):
+    """The --alphabet-l/--alphabet-p pair: top and bottom alphabets of an array."""
+    path = click.Path(exists=True, dir_okay=False)
+    l_option = click.option("--alphabet-l", "alphabet_l_path", required=required, type=path)
+    p_option = click.option("--alphabet-p", "alphabet_p_path", required=required, type=path)
+    return lambda f: l_option(p_option(f))
+
+
 @click.group()
 def cli() -> None:
     """Tableaux over signed alphabets: bumping, plactic classes, RSK."""
@@ -107,8 +123,7 @@ def cli() -> None:
 @click.option("--tableau", "tableau_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--array", "array_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alphabet", "alphabet_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-l", "alphabet_l_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-p", "alphabet_p_path", type=click.Path(exists=True, dir_okay=False))
+@_alphabet_pair_options(required=False)
 @_json_option
 def validate_cmd(tableau_path, array_path, alphabet_path, alphabet_l_path, alphabet_p_path, as_json):
     """Check a tableau (with --alphabet) or an array (with --alphabet-l/-p)."""
@@ -125,7 +140,7 @@ def validate_cmd(tableau_path, array_path, alphabet_path, alphabet_l_path, alpha
     else:
         if alphabet_l_path is None or alphabet_p_path is None:
             raise click.UsageError("--array needs --alphabet-l and --alphabet-p")
-        s = _load_array(array_path, _load_alphabet(alphabet_l_path), _load_alphabet(alphabet_p_path))
+        s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
         if as_json:
             _emit({"valid": True, "columns": len(s)})
         else:
@@ -237,7 +252,8 @@ def normal_form_cmd(word, alphabet_path, as_json):
 
 @cli.command("class")
 @click.option("--word", required=True)
-@click.option("--limit", default=50, show_default=True, help="Print at most this many members.")
+@click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
+              help="Print at most this many members.")
 @click.option("--max-len", default=9, show_default=True, help="Word length bound for the search.")
 @_alphabet_option
 @_json_option
@@ -269,7 +285,7 @@ def class_cmd(word, limit, max_len, alphabet_path, as_json):
 
 @cli.command("greene")
 @click.option("--word", required=True)
-@click.option("--k", required=True, type=int)
+@click.option("--k", required=True, type=click.IntRange(min=1))
 @click.option("--mode", type=click.Choice(["row", "col", "shape"]), default="row", show_default=True)
 @_alphabet_option
 @_json_option
@@ -294,12 +310,11 @@ def greene_cmd(word, k, mode, alphabet_path, as_json):
 
 @cli.command("rsk")
 @click.option("--array", "array_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-l", "alphabet_l_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-p", "alphabet_p_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_alphabet_pair_options(required=True)
 @_json_option
 def rsk_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
     """Correspondence: array to the tableau pair (T, U)."""
-    s = _load_array(array_path, _load_alphabet(alphabet_l_path), _load_alphabet(alphabet_p_path))
+    s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
     t, u = rsk_forward(s)
     if as_json:
         _emit({"t": tableau_to_json(t), "u": tableau_to_json(u)})
@@ -313,13 +328,11 @@ def rsk_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
 @cli.command("rsk-inverse")
 @click.option("--t", "t_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--u", "u_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-l", "alphabet_l_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-p", "alphabet_p_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_alphabet_pair_options(required=True)
 @_json_option
 def rsk_inverse_cmd(t_path, u_path, alphabet_l_path, alphabet_p_path, as_json):
     """Inverse correspondence: equal-shape pair back to the array."""
-    alphabet_l = _load_alphabet(alphabet_l_path)
-    alphabet_p = _load_alphabet(alphabet_p_path)
+    alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
     t = _load_tableau(t_path, alphabet_l)
     u = _load_tableau(u_path, alphabet_p)
     s = rsk_inverse(t, u)
@@ -331,12 +344,11 @@ def rsk_inverse_cmd(t_path, u_path, alphabet_l_path, alphabet_p_path, as_json):
 
 @cli.command("symmetry")
 @click.option("--array", "array_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-l", "alphabet_l_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-p", "alphabet_p_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_alphabet_pair_options(required=True)
 @_json_option
 def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
     """Whether the involution swaps T and U for this array."""
-    s = _load_array(array_path, _load_alphabet(alphabet_l_path), _load_alphabet(alphabet_p_path))
+    s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
     try:
         symmetric = check_susy(s)
         hypotheses = True
@@ -351,16 +363,14 @@ def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
 
 
 @cli.command("probe")
-@click.option("--alphabet-l", "alphabet_l_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet-p", "alphabet_p_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-cols", required=True, type=int)
+@_alphabet_pair_options(required=True)
+@click.option("--max-cols", required=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, writable=True),
               help="JSON-lines file, one record per array.")
 @_json_option
 def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path, as_json):
     """Survey symmetry over all arrays with at most MAX_COLS columns."""
-    alphabet_l = _load_alphabet(alphabet_l_path)
-    alphabet_p = _load_alphabet(alphabet_p_path)
+    alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
     with open(out_path, "w", encoding="utf-8") as fh:
         def sink(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -378,7 +388,7 @@ def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path, as_json):
 
 @cli.command("pieri")
 @click.option("--shape", required=True, help="Comma-separated partition, e.g. 2,1.")
-@click.option("--p", required=True, type=int)
+@click.option("--p", required=True, type=click.IntRange(min=0))
 @click.option("--mode", type=click.Choice(["row", "col"]), default="row", show_default=True)
 @_alphabet_option
 @_json_option

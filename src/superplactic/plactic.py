@@ -44,40 +44,41 @@ def z2_degree(word: Word) -> int:
 
 def is_row_word(word: Word) -> bool:
     """Weakly increasing, with equal neighbors only at parity-0 letters."""
-    par = word.alphabet.parities
+    row_next = word.alphabet.row_next
     xs = word.letters
-    return all(a < b or (a == b and par[a] == 0) for a, b in zip(xs, xs[1:]))
+    return all(b >= row_next[a] for a, b in zip(xs, xs[1:]))
 
 
 def is_column_word(word: Word) -> bool:
     """Weakly decreasing, with equal neighbors only at parity-1 letters."""
-    par = word.alphabet.parities
+    col_next = word.alphabet.col_next
     xs = word.letters
-    return all(a > b or (a == b and par[a] == 1) for a, b in zip(xs, xs[1:]))
+    return all(a >= col_next[b] for a, b in zip(xs, xs[1:]))
 
 
-def _k1_sides(x: int, y: int, z: int, par: tuple[int, ...]) -> bool:
+def _k1_sides(x: int, y: int, z: int, row_next: tuple[int, ...], col_next: tuple[int, ...]) -> bool:
     """Side conditions of the first move on an ordered triple x <= y <= z."""
-    return x <= y <= z and (x != y or par[y] == 0) and (y != z or par[y] == 1)
+    return y >= row_next[x] and z >= col_next[y]
 
 
-def _k2_sides(x: int, y: int, z: int, par: tuple[int, ...]) -> bool:
+def _k2_sides(x: int, y: int, z: int, row_next: tuple[int, ...], col_next: tuple[int, ...]) -> bool:
     """Side conditions of the second move on an ordered triple x <= y <= z."""
-    return x <= y <= z and (x != y or par[y] == 1) and (y != z or par[y] == 0)
+    return y >= col_next[x] and z >= row_next[y]
 
 
 def knuth_neighbors(word: Word) -> set[Word]:
     """Words reachable from this one by a single elementary move."""
-    par = word.alphabet.parities
+    rn = word.alphabet.row_next
+    cn = word.alphabet.col_next
     xs = word.letters
     out: set[Word] = set()
     for p in range(len(xs) - 2):
         a, b, c = xs[p], xs[p + 1], xs[p + 2]
         # window reads xzy (swap gives zxy) or zxy (swap gives xzy)
-        if _k1_sides(a, c, b, par) or _k1_sides(b, c, a, par):
+        if _k1_sides(a, c, b, rn, cn) or _k1_sides(b, c, a, rn, cn):
             out.add(Word.from_indices(word.alphabet, xs[:p] + (b, a, c) + xs[p + 3:]))
         # window reads yxz (swap gives yzx) or yzx (swap gives yxz)
-        if _k2_sides(b, a, c, par) or _k2_sides(c, a, b, par):
+        if _k2_sides(b, a, c, rn, cn) or _k2_sides(c, a, b, rn, cn):
             out.add(Word.from_indices(word.alphabet, xs[:p] + (a, c, b) + xs[p + 3:]))
     return out
 
@@ -156,12 +157,14 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     """
     if mode not in ("row", "col"):
         raise ValueError("mode must be 'row' or 'col'")
-    par = word.alphabet.parities
+    col_next = word.alphabet.col_next
     column = mode == "col"
     states: dict[tuple[int, ...], int] = {(): 0}
     for x in word.letters:
         new = dict(states)
-        px_ok_equal = par[x] == (1 if column else 0)
+        # x extends a row word ending at e exactly when e < col_next[x]
+        # (the tables' duality), and a column word exactly when not.
+        bound = col_next[x]
         for chains, total in states.items():
             nt = total + 1
             if len(chains) < max_k:
@@ -173,11 +176,7 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
                 if e in tried:
                     continue
                 tried.add(e)
-                if column:
-                    ok = e > x or (e == x and px_ok_equal)
-                else:
-                    ok = e < x or (e == x and px_ok_equal)
-                if ok:
+                if (e >= bound) == column:
                     key = tuple(sorted(chains[:ci] + chains[ci + 1:] + (x,)))
                     if new.get(key, -1) < nt:
                         new[key] = nt

@@ -28,7 +28,15 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .alphabet import SignedAlphabet, make_alphabet
-from .bumping import _bump_col, _bump_row, _unbump_col, _unbump_row, tableau_of_word
+from .bumping import (
+    _bump_col,
+    _bump_row,
+    _col_height,
+    _is_corner,
+    _unbump_col,
+    _unbump_row,
+    tableau_of_word,
+)
 from .errors import (
     BoundExceededError,
     CornerError,
@@ -139,27 +147,18 @@ def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
     """The correspondence: array to an equal-shape tableau pair (T, U)."""
     L = array.top_alphabet
     P = array.bottom_alphabet
-    lpar = L.parities
     ppar = P.parities
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     for a, b in array.pairs:
         if ppar[b] == 0:
-            i = _bump_row(trows, a, lpar)
-            if i - 1 == len(urows):
-                urows.append([b])
-            else:
-                urows[i - 1].append(b)
+            r = _bump_row(trows, a, L.col_next) - 1
         else:
-            j = _bump_col(trows, a, lpar)
-            h = 0
-            while h < len(urows) and len(urows[h]) >= j:
-                h += 1
-            if h == len(urows):
-                urows.append([b])
-            else:
-                assert len(urows[h]) == j - 1
-                urows[h].append(b)
+            r = _col_height(urows, _bump_col(trows, a, L.row_next) - 1)
+        if r == len(urows):
+            urows.append([b])
+        else:
+            urows[r].append(b)
     _check_index_rows(urows, P)
     T = Tableau(L, trows)
     U = Tableau(P, urows)
@@ -170,62 +169,41 @@ def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
 def rsk_inverse(t: Tableau, u: Tableau) -> TwoRowedArray:
     """Inverse correspondence: an equal-shape pair back to its array.
 
-    Repeatedly takes the largest letter y of u; when y has parity 0 it is
-    removed from the end of the lowest-index row of u that ends in y, and a
-    row deletion at that row of t releases the matching top letter; when y
-    has parity 1 the same happens at the lowest-index column, with a column
-    deletion.  The recovered columns, sorted into the product order, form
-    the array.
+    Takes the letters y of u from the largest down.  Each y sits at a
+    removable corner of u, found by one walk over the ends of u's rows: top
+    down when y has parity 0, so the lowest-index row ending in y, and
+    bottom up when y has parity 1, so the lowest-index column.  The corner
+    is removed from u, and a row deletion at its row (parity 0) or a column
+    deletion at its column (parity 1) releases the matching top letter from
+    t.  The recovered columns, sorted into the product order, form the
+    array.
     """
     if t.shape != u.shape:
         raise ShapeError("tableaux have shapes %r and %r" % (t.shape, u.shape))
     L = t.alphabet
     P = u.alphabet
-    lpar = L.parities
-    ppar = P.parities
     trows = [list(r) for r in t.rows]
     urows = [list(r) for r in u.rows]
+    pending = sorted(v for r in urows for v in r)
     out = []
     while urows:
-        y = max(max(r) for r in urows)
-        if ppar[y] == 0:
-            i = 0
-            for r in range(len(urows)):
-                last_in_row = urows[r][-1]
-                corner = r + 1 == len(urows) or len(urows[r]) > len(urows[r + 1])
-                if last_in_row == y and corner:
-                    i = r + 1
-                    break
-            else:
-                raise CornerError(
-                    "letter %s heads no removable row corner; not a valid pair"
-                    % P.symbol(y)
-                )
-            x = _unbump_row(trows, i, lpar)
-            urows[i - 1].pop()
-            if not urows[i - 1]:
-                urows.pop()
+        y = pending.pop()
+        even = P.parities[y] == 0
+        for r in (range(len(urows)) if even else range(len(urows) - 1, -1, -1)):
+            if urows[r][-1] == y and _is_corner(urows, r):
+                break
         else:
-            j = 0
-            for c in range(len(urows[0])):
-                h = 0
-                while h < len(urows) and len(urows[h]) > c:
-                    h += 1
-                if urows[h - 1][c] == y and len(urows[h - 1]) == c + 1:
-                    j = c + 1
-                    break
-            else:
-                raise CornerError(
-                    "letter %s heads no removable column corner; not a valid pair"
-                    % P.symbol(y)
-                )
-            x = _unbump_col(trows, j, lpar)
-            h = 0
-            while h < len(urows) and len(urows[h]) >= j:
-                h += 1
-            urows[h - 1].pop()
-            if not urows[h - 1]:
-                urows.pop()
+            raise CornerError(
+                "letter %s heads no removable %s corner; not a valid pair"
+                % (P.symbol(y), "row" if even else "column")
+            )
+        if even:
+            x = _unbump_row(trows, r + 1, L.row_next)
+        else:
+            x = _unbump_col(trows, len(urows[r]), L.col_next)
+        urows[r].pop()
+        if not urows[r]:
+            urows.pop()
         out.append((x, y))
     out.sort(key=lambda ab: (ab[1], ab[0]))
     return TwoRowedArray(L, P, out)
@@ -263,24 +241,15 @@ def has_symmetry(array: TwoRowedArray) -> bool:
     return t2 == u and u2 == t
 
 
-def _even_first(alphabet: SignedAlphabet) -> bool:
-    seen_odd = False
-    for p in alphabet.parities:
-        if p == 1:
-            seen_odd = True
-        elif seen_odd:
-            return False
-    return True
+def _parity_first(alphabet: SignedAlphabet, p: int) -> bool:
+    """Whether every parity-p letter precedes every letter of the other parity."""
+    par = alphabet.parities
+    return all(a == p or b != p for a, b in zip(par, par[1:]))
 
 
-def _odd_first(alphabet: SignedAlphabet) -> bool:
-    seen_even = False
-    for p in alphabet.parities:
-        if p == 0:
-            seen_even = True
-        elif seen_even:
-            return False
-    return True
+def _aligned(top_alphabet: SignedAlphabet, bottom_alphabet: SignedAlphabet) -> bool:
+    """Whether both alphabets put the same parity block first."""
+    return any(_parity_first(top_alphabet, p) and _parity_first(bottom_alphabet, p) for p in (0, 1))
 
 
 def check_susy(array: TwoRowedArray) -> bool:
@@ -292,10 +261,7 @@ def check_susy(array: TwoRowedArray) -> bool:
     arrays to the unrestricted probe instead.  Returns has_symmetry, which
     the hypotheses force to be True.
     """
-    L = array.top_alphabet
-    P = array.bottom_alphabet
-    aligned = (_even_first(L) and _even_first(P)) or (_odd_first(L) and _odd_first(P))
-    if not aligned:
+    if not _aligned(array.top_alphabet, array.bottom_alphabet):
         raise HypothesisError(
             "alphabets do not split with aligned parity blocks"
         )
@@ -314,7 +280,7 @@ def split_array(array: TwoRowedArray) -> tuple[TwoRowedArray, TwoRowedArray]:
     """
     L = array.top_alphabet
     P = array.bottom_alphabet
-    if not (_even_first(L) and _even_first(P)):
+    if not (_parity_first(L, 0) and _parity_first(P, 0)):
         raise HypothesisError("alphabets must place parity-0 letters first")
     if any(p != 0 for p in array.pair_parities()):
         raise HypothesisError("array has a column of pair parity 1")
@@ -350,6 +316,8 @@ def enumerate_arrays(
 ) -> Iterator[TwoRowedArray]:
     """All valid arrays with at most max_cols columns, in a deterministic
     order (by length-first choice of columns in the product order)."""
+    if max_cols < 0:
+        raise ValueError("max_cols must be nonnegative")
     pairs = [
         (a, b)
         for b in range(len(bottom_alphabet))
@@ -420,9 +388,7 @@ def symmetry_probe(
     """Classify every array with at most max_cols columns by (hypotheses
     satisfied, symmetric).  `sink`, if given, receives one dict per array,
     which the command line driver streams out as JSON lines."""
-    aligned = (_even_first(top_alphabet) and _even_first(bottom_alphabet)) or (
-        _odd_first(top_alphabet) and _odd_first(bottom_alphabet)
-    )
+    aligned = _aligned(top_alphabet, bottom_alphabet)
     report = ProbeReport(max_cols=max_cols)
     for array in enumerate_arrays(top_alphabet, bottom_alphabet, max_cols):
         report.total += 1

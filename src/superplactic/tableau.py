@@ -100,7 +100,10 @@ class Tableau(object):
     __slots__ = ("alphabet", "rows", "_hash")
 
     def __init__(self, alphabet: SignedAlphabet, rows: Iterable[Iterable[int]] = ()):
-        rows = tuple(tuple(r) for r in rows)
+        # Exact-size tuple([...]) rather than tuple(<genexpr>): on CPython a
+        # tuple grown by resizing is never taken from the tuple free lists,
+        # which then keep growing under a steady stream of tableaux.
+        rows = tuple([tuple(r) for r in rows])
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", hash((alphabet, rows)))
@@ -114,7 +117,7 @@ class Tableau(object):
 
     @property
     def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
+        return tuple([len(r) for r in self.rows])
 
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -165,31 +168,7 @@ class SkewTableau(object):
                 raise ShapeError(
                     "row %d has %d entries, expected %d" % (i + 1, len(row), outer[i] - pad_inner[i])
                 )
-        n = len(alphabet)
-        par = alphabet.parities
-        for i, row in enumerate(rows):
-            for x in row:
-                if not 0 <= x < n:
-                    raise ForeignLetterError("letter index %d out of range" % x)
-            for off, (a, b) in enumerate(zip(row, row[1:])):
-                if a > b or (a == b and par[a] != 0):
-                    raise ValidationError(
-                        "row condition fails at row %d" % (i + 1),
-                        cell=(i + 1, pad_inner[i] + off + 2),
-                        condition="row",
-                    )
-        for i in range(len(rows) - 1):
-            lo = max(pad_inner[i], pad_inner[i + 1])
-            hi = min(outer[i], outer[i + 1])
-            for j in range(lo + 1, hi + 1):
-                a = rows[i][j - pad_inner[i] - 1]
-                b = rows[i + 1][j - pad_inner[i + 1] - 1]
-                if a > b or (a == b and par[a] != 1):
-                    raise ValidationError(
-                        "column condition fails at column %d" % j,
-                        cell=(i + 2, j),
-                        condition="column",
-                    )
+        _check_cells(rows, pad_inner, alphabet)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
@@ -226,6 +205,34 @@ class SkewTableau(object):
         )
 
 
+def _check_cells(rows: Sequence[Sequence[int]], inner: Sequence[int], alphabet: SignedAlphabet) -> None:
+    """Raise unless the letters are in range and satisfy the row and column
+    conditions, where row i starts right of the first inner[i] cells
+    (zeros for a straight shape).  Cells are reported 1-based."""
+    n = len(alphabet)
+    row_next = alphabet.row_next
+    col_next = alphabet.col_next
+    for i, row in enumerate(rows):
+        for x in row:
+            if not 0 <= x < n:
+                raise ForeignLetterError("letter index %d out of range" % x)
+        for j in range(len(row) - 1):
+            if row[j + 1] < row_next[row[j]]:
+                cell = (i + 1, inner[i] + j + 2)
+                raise ValidationError("row condition fails at cell (%d, %d)" % cell,
+                                      cell=cell, condition="row")
+    # Both shapes are partitions, so rows i and i + 1 share the columns
+    # from inner[i] up to the end of the lower row.
+    for i in range(len(rows) - 1):
+        upper, lower = rows[i], rows[i + 1]
+        du, dl = inner[i], inner[i + 1]
+        for j in range(du, dl + len(lower)):
+            if lower[j - dl] < col_next[upper[j - du]]:
+                cell = (i + 2, j + 1)
+                raise ValidationError("column condition fails at cell (%d, %d)" % cell,
+                                      cell=cell, condition="column")
+
+
 def _check_index_rows(rows: Sequence[Sequence[int]], alphabet: SignedAlphabet) -> None:
     """Raise unless index rows form a super semistandard straight tableau."""
     lengths = [len(r) for r in rows]
@@ -235,30 +242,7 @@ def _check_index_rows(rows: Sequence[Sequence[int]], alphabet: SignedAlphabet) -
     for a, b in zip(lengths, lengths[1:]):
         if a < b:
             raise ShapeError("row lengths must weakly decrease, got %r" % (lengths,))
-    n = len(alphabet)
-    par = alphabet.parities
-    for i, row in enumerate(rows):
-        for x in row:
-            if not 0 <= x < n:
-                raise ForeignLetterError("letter index %d out of range" % x)
-        for j in range(len(row) - 1):
-            a, b = row[j], row[j + 1]
-            if a > b or (a == b and par[a] != 0):
-                raise ValidationError(
-                    "row condition fails at cell (%d, %d)" % (i + 1, j + 2),
-                    cell=(i + 1, j + 2),
-                    condition="row",
-                )
-    for i in range(len(rows) - 1):
-        upper, lower = rows[i], rows[i + 1]
-        for j in range(len(lower)):
-            a, b = upper[j], lower[j]
-            if a > b or (a == b and par[a] != 1):
-                raise ValidationError(
-                    "column condition fails at cell (%d, %d)" % (i + 2, j + 1),
-                    cell=(i + 2, j + 1),
-                    condition="column",
-                )
+    _check_cells(rows, (0,) * len(rows), alphabet)
 
 
 def validate(raw_rows: Iterable[Iterable[str]], alphabet: SignedAlphabet) -> Tableau:
@@ -338,7 +322,8 @@ def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator
     the output order is deterministic.
     """
     lam = as_partition(lam)
-    par = alphabet.parities
+    row_next = alphabet.row_next
+    col_next = alphabet.col_next
     n = len(alphabet)
     rows = [[-1] * L for L in lam]
     cell_list = [(i, j) for i, L in enumerate(lam) for j in range(L)]
@@ -348,13 +333,9 @@ def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator
             yield Tableau(alphabet, [tuple(r) for r in rows])
             return
         i, j = cell_list[pos]
-        left = rows[i][j - 1] if j > 0 else None
-        up = rows[i - 1][j] if i > 0 else None
-        lo = 0
-        if left is not None:
-            lo = max(lo, left if par[left] == 0 else left + 1)
-        if up is not None:
-            lo = max(lo, up if par[up] == 1 else up + 1)
+        lo = row_next[rows[i][j - 1]] if j > 0 else 0
+        if i > 0:
+            lo = max(lo, col_next[rows[i - 1][j]])
         for x in range(lo, n):
             rows[i][j] = x
             yield from fill(pos + 1)
@@ -423,7 +404,12 @@ def tableau_to_json(tableau: Tableau) -> dict:
 def tableau_from_json(obj: dict, alphabet: SignedAlphabet) -> Tableau:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ShapeError('tableau JSON must have a "rows" array')
-    t = validate(obj["rows"], alphabet)
+    rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ShapeError('tableau JSON "rows" must be an array of arrays of letters')
+    if not isinstance(obj.get("shape", []), list):
+        raise ShapeError('tableau JSON "shape" must be an array')
+    t = validate(rows, alphabet)
     if "shape" in obj and tuple(obj["shape"]) != t.shape:
         raise ShapeError("declared shape %r does not match rows" % (obj["shape"],))
     return t

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -129,6 +132,22 @@ def test_json_roundtrip(split24):
     blob = alphabet_to_json(split24)
     assert blob == {"letters": list(split24.letters), "parity": list(split24.parities)}
     assert alphabet_from_json(blob) == split24
+
+
+def test_parities_stored_as_int():
+    a = make_alphabet(["a", "b"], [True, 0])
+    assert [type(p) for p in a.parities] == [int, int]
+    assert json.dumps(alphabet_to_json(a)) == '{"letters": ["a", "b"], "parity": [1, 0]}'
+    assert a == make_alphabet(["a", "b"], [1, 0])
+
+
+def test_order_tables_encode_the_parity_rule():
+    for sig in itertools.product((0, 1), repeat=3):
+        a = make_alphabet(["x", "y", "z"], sig)
+        for p, q in itertools.product(range(3), repeat=2):
+            assert (q >= a.row_next[p]) == (p < q or (p == q and sig[p] == 0))
+            assert (q >= a.col_next[p]) == (p < q or (p == q and sig[p] == 1))
+            assert (q >= a.row_next[p]) == (p < a.col_next[q])
 
 
 def test_json_rejects_malformed():

@@ -163,6 +163,20 @@ class TestTransposeDuality:
                     assert direct == transpose(dual)
                     assert j == i
 
+    def test_column_delete_is_transposed_row_delete(self):
+        letters = ["1", "2", "3"]
+        for sig in all_signatures(3):
+            alphabet = make_alphabet(letters, sig)
+            for t in small_tableaux(alphabet, 5):
+                heights = transpose(t).shape
+                for j in range(1, len(heights) + 1):
+                    if j < len(heights) and heights[j - 1] == heights[j]:
+                        continue
+                    direct, x = col_delete(t, j)
+                    dual, y = row_delete(transpose(t), j)
+                    assert direct == transpose(dual)
+                    assert x == y
+
 
 class TestTraces:
     def test_row_trace_shape(self, mixed4):

@@ -383,6 +383,30 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("ForeignLetterError:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["greene", "--word", "1,2", "--k", "0", "--alphabet", "{mixed4}"],
+            ["pieri", "--shape", "2,1", "--p", "-1", "--alphabet", "{mixed4}"],
+            ["pieri", "--shape", "x", "--p", "1", "--alphabet", "{mixed4}"],
+            ["class", "--word", "1", "--limit", "-1", "--alphabet", "{mixed4}"],
+            ["probe", "--alphabet-l", "{mixed2}", "--alphabet-p", "{mixed2}", "--max-cols", "-1",
+             "--out", "{dir}/records.jsonl"],
+        ],
+    )
+    def test_bad_number_or_shape_is_usage_error(self, files, capsys, args):
+        code, _, err = run_cli([a.format(**files) for a in args], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blob", [{"rows": [1, 2]}, {"rows": [["1"]], "shape": 1}])
+    def test_malformed_tableau_json_exit_one(self, files, capsys, blob):
+        bad = files["dir"] / "rows.json"
+        bad.write_text(json.dumps(blob))
+        code, _, err = run_cli(["validate", "--tableau", str(bad), "--alphabet", files["mixed4"]], capsys)
+        assert code == 1
+        assert err.startswith("ShapeError:")
+
     def test_usage_mentions_program_name(self, files, capsys):
         code, _, err = run_cli(["validate", "--alphabet", files["mixed4"]], capsys)
         assert code == 2

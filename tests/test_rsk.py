@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,34 @@ def test_roundtrip_random(arr):
     t, u = rsk_forward(arr)
     assert rsk_inverse(t, u) == arr
     assert t.shape == u.shape
+
+
+def test_roundtrip_tall_shapes():
+    """Seeded arrays of 200-700 columns, a tenth to three tenths with an odd
+    bottom letter; their shapes are 20 or more rows tall."""
+    rng = random.Random(20261018)
+    for sig in [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1)]:
+        alphabet = make_alphabet(["1", "2", "3"], sig)
+        same = [[x for x in range(3) if sig[x] == p] for p in (0, 1)]
+        for _ in range(5):
+            n = rng.randint(200, 700)
+            share = rng.uniform(0.1, 0.3)
+            seen = set()
+            cols = []
+            for _ in range(n):
+                b = rng.choice(same[1] if rng.random() < share else same[0])
+                a = rng.randrange(3)
+                if sig[a] != sig[b]:
+                    if (a, b) in seen:
+                        a = rng.choice(same[sig[b]])
+                    seen.add((a, b))
+                cols.append((a, b))
+            cols.sort(key=lambda ab: (ab[1], ab[0]))
+            columns = [(alphabet.symbol(a), alphabet.symbol(b)) for a, b in cols]
+            s = validate_array(columns, alphabet, alphabet)
+            t, u = rsk_forward(s)
+            assert len(t.shape) >= 20
+            assert rsk_inverse(t, u) == s
 
 
 @given(random_array())
