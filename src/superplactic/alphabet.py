@@ -87,7 +87,8 @@ class SignedAlphabet:
         """Position of a symbol in the alphabet order."""
         try:
             return self._index[symbol]
-        except KeyError:
+        except (KeyError, TypeError):
+            # TypeError: an unhashable symbol, such as a list read from JSON
             raise ForeignLetterError("letter %r is not in the alphabet" % (symbol,)) from None
 
     def symbol(self, i: int) -> str:
@@ -99,11 +100,8 @@ class SignedAlphabet:
         return self.parities[self.index(symbol)]
 
     def to_indices(self, symbols: Iterable[str]) -> tuple[int, ...]:
-        idx = self._index
-        try:
-            return tuple(idx[s] for s in symbols)
-        except KeyError as exc:
-            raise ForeignLetterError("letter %r is not in the alphabet" % (exc.args[0],)) from None
+        index = self.index
+        return tuple([index(s) for s in symbols])
 
     def to_symbols(self, indices: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.symbol(i) for i in indices)
@@ -137,13 +135,13 @@ def product_alphabet(left: SignedAlphabet, right: SignedAlphabet) -> SignedAlpha
     b1 = b2 and a1 < a2, in the respective alphabet orders.  The parity of a
     pair is the sum of the parities of its components mod 2.
     """
-    letters = []
-    parities = []
-    for b, pb in zip(right.letters, right.parities):
-        for a, pa in zip(left.letters, left.parities):
-            letters.append("(%s,%s)" % (a, b))
-            parities.append((pa + pb) % 2)
-    return SignedAlphabet(letters, parities)
+    letters = ["(%s,%s)" % (a, b) for b in right.letters for a in left.letters]
+    return SignedAlphabet(letters, _pair_parities(left, right))
+
+
+def _pair_parities(left: SignedAlphabet, right: SignedAlphabet) -> tuple[int, ...]:
+    """Parity of every pair (a, b), at its product letter b * len(left) + a."""
+    return tuple([(pa + pb) % 2 for pb in right.parities for pa in left.parities])
 
 
 def alphabet_to_json(alphabet: SignedAlphabet) -> dict:
@@ -151,6 +149,7 @@ def alphabet_to_json(alphabet: SignedAlphabet) -> dict:
 
 
 def alphabet_from_json(obj: dict) -> SignedAlphabet:
-    if not isinstance(obj, dict) or "letters" not in obj or "parity" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("letters"), list)
+            and isinstance(obj.get("parity"), list)):
         raise AlphabetError('alphabet JSON must have "letters" and "parity" arrays')
     return SignedAlphabet(tuple(obj["letters"]), tuple(obj["parity"]))

@@ -56,7 +56,11 @@ from .tableau import (
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
 
 
 def _load_alphabet(path: str):
@@ -290,7 +294,7 @@ def class_cmd(word, limit, max_len, alphabet_path, as_json):
 @_alphabet_option
 @_json_option
 def greene_cmd(word, k, mode, alphabet_path, as_json):
-    """Greene invariant by exhaustive search, or read off the shape."""
+    """Greene invariant by the chain dynamic program, or read off the shape."""
     alphabet = _load_alphabet(alphabet_path)
     w = _parse_word(word, alphabet)
     if mode == "shape":

@@ -142,10 +142,6 @@ class PlacticClass:
         return tableau_of_word(self.canonical)
 
 
-def _greene_bound(k: int) -> int:
-    return 10 if k <= 3 else 8
-
-
 def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]:
     """Exact Greene invariants (l_1, ..., l_max_k) in one sweep.
 
@@ -194,28 +190,27 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     return tuple(out)
 
 
-def greene_row(word: Word, k: int, max_len: int | None = None) -> int:
-    """Largest total length of k index-disjoint row subwords."""
+def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
+    """l_k(w) in the given mode, for words within the length bound (by
+    default 10 for k <= 3, else 8)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    bound = _greene_bound(k) if max_len is None else max_len
+    bound = (10 if k <= 3 else 8) if max_len is None else max_len
     if len(word) > bound:
         raise BoundExceededError(
             "word of length %d exceeds the Greene search bound %d" % (len(word), bound)
         )
-    return greene_profile(word, k, "row")[k - 1]
+    return greene_profile(word, k, mode)[k - 1]
+
+
+def greene_row(word: Word, k: int, max_len: int | None = None) -> int:
+    """Largest total length of k index-disjoint row subwords."""
+    return _greene(word, k, max_len, "row")
 
 
 def greene_col(word: Word, k: int, max_len: int | None = None) -> int:
     """Largest total length of k index-disjoint column subwords."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    bound = _greene_bound(k) if max_len is None else max_len
-    if len(word) > bound:
-        raise BoundExceededError(
-            "word of length %d exceeds the Greene search bound %d" % (len(word), bound)
-        )
-    return greene_profile(word, k, "col")[k - 1]
+    return _greene(word, k, max_len, "col")
 
 
 def greene_via_shape(word: Word, k: int, mode: str = "row") -> int:

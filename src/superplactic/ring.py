@@ -82,10 +82,7 @@ class FormalSum(object):
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError("sums live over different alphabets")
-        negated = [(t, -c) for t, c in other._terms.items()]
-        return FormalSum(self.alphabet, list(self._terms.items()) + negated)
+        return self + FormalSum(other.alphabet, [(t, -c) for t, c in other._terms.items()])
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -178,14 +175,12 @@ def pieri_check(
         s_row(p, alphabet) if mode == "row" else s_col(p, alphabet),
     )
     strip_ok = is_horizontal_strip if mode == "row" else is_vertical_strip
-    right_terms: list[tuple[Tableau, int]] = []
-    candidates = []
-    for mu in partitions(n):
-        if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam)):
-            candidates.append(mu)
-            for t in enumerate_tableaux(mu, alphabet):
-                right_terms.append((t, 1))
-    right = FormalSum(alphabet, right_terms)
+    right = FormalSum(alphabet, [
+        (t, 1)
+        for mu in partitions(n)
+        if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))
+        for t in enumerate_tableaux(mu, alphabet)
+    ])
     shapes: dict[tuple[int, ...], list[int]] = {}
     for t, c in left.terms():
         shapes.setdefault(t.shape, [0, 0])[0] += c

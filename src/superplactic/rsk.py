@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .alphabet import SignedAlphabet, make_alphabet
+from .alphabet import SignedAlphabet, _pair_parities, make_alphabet
 from .bumping import (
     _bump_col,
     _bump_row,
@@ -122,24 +122,21 @@ def validate_array(
     bottom_alphabet: SignedAlphabet,
 ) -> TwoRowedArray:
     """Build a two-rowed array from (top, bottom) symbol columns, checking
-    the product-order sorting and the parity condition on repeats."""
-    pairs = []
-    for a_sym, b_sym in columns:
-        pairs.append((top_alphabet.index(a_sym), bottom_alphabet.index(b_sym)))
-    pl = top_alphabet.parities
-    pp = bottom_alphabet.parities
-    for t in range(len(pairs) - 1):
-        a1, b1 = pairs[t]
-        a2, b2 = pairs[t + 1]
-        if (b1, a1) > (b2, a2):
-            raise ValidationError(
-                "columns %d and %d are out of order" % (t + 1, t + 2), cell=(1, t + 2)
-            )
-        if (a1, b1) == (a2, b2) and (pl[a1] + pp[b1]) % 2 != 0:
-            raise ValidationError(
-                "columns %d and %d repeat a pair of parity 1" % (t + 1, t + 2),
-                cell=(1, t + 2),
-            )
+    the product-order sorting and the parity condition on repeats.
+
+    Column (a, b) is the product letter c = b * len(top) + a, and the
+    columns must form a row word over the product alphabet: each next
+    letter d satisfies d >= c + parity(c).
+    """
+    pairs = [(top_alphabet.index(a), bottom_alphabet.index(b)) for a, b in columns]
+    n = len(top_alphabet)
+    par = _pair_parities(top_alphabet, bottom_alphabet)
+    word = [b * n + a for a, b in pairs]
+    for t in range(len(word) - 1):
+        c, d = word[t], word[t + 1]
+        if d < c + par[c]:
+            fault = "are out of order" if d < c else "repeat a pair of parity 1"
+            raise ValidationError("columns %d and %d %s" % (t + 1, t + 2, fault), cell=(1, t + 2))
     return TwoRowedArray(top_alphabet, bottom_alphabet, pairs)
 
 
@@ -315,29 +312,34 @@ def enumerate_arrays(
     max_cols: int,
 ) -> Iterator[TwoRowedArray]:
     """All valid arrays with at most max_cols columns, in a deterministic
-    order (by length-first choice of columns in the product order)."""
+    order: depth first over the row words of the product alphabet, so each
+    array comes before its extensions, and these follow in increasing last
+    column."""
     if max_cols < 0:
         raise ValueError("max_cols must be nonnegative")
-    pairs = [
-        (a, b)
-        for b in range(len(bottom_alphabet))
-        for a in range(len(top_alphabet))
-    ]
-    par = [
-        (top_alphabet.parities[a] + bottom_alphabet.parities[b]) % 2 for a, b in pairs
-    ]
-    cols: list[tuple[int, int]] = []
+    pairs = [(a, b) for b in range(len(bottom_alphabet)) for a in range(len(top_alphabet))]
+    par = _pair_parities(top_alphabet, bottom_alphabet)
+    n = len(pairs)
 
-    def rec(start: int) -> Iterator[TwoRowedArray]:
-        yield TwoRowedArray(top_alphabet, bottom_alphabet, cols)
-        if len(cols) == max_cols:
-            return
-        for t in range(start, len(pairs)):
-            cols.append(pairs[t])
-            yield from rec(t if par[t] == 0 else t + 1)
-            cols.pop()
+    def walk() -> Iterator[TwoRowedArray]:
+        word: list[int] = []
+        cols: list[tuple[int, int]] = []
+        c = 0  # the smallest letter the next column may take
+        while True:
+            yield TwoRowedArray(top_alphabet, bottom_alphabet, cols)
+            if len(cols) == max_cols:
+                c = n
+            # With no letter left, drop the last column and try its successor.
+            while c == n:
+                if not word:
+                    return
+                c = word.pop() + 1
+                cols.pop()
+            word.append(c)
+            cols.append(pairs[c])
+            c += par[c]
 
-    return rec(0)
+    return walk()
 
 
 _CELL_NAMES = {
@@ -368,10 +370,7 @@ class ProbeReport:
             "total": self.total,
             "counts": {_CELL_NAMES[k]: v for k, v in sorted(self.counts.items())},
             "examples": {
-                _CELL_NAMES[k]: [
-                    {"top": list(s.top_symbols), "bottom": list(s.bottom_symbols)}
-                    for s in v
-                ]
+                _CELL_NAMES[k]: [array_to_json(s) for s in v]
                 for k, v in sorted(self.examples.items())
             },
         }
@@ -401,14 +400,7 @@ def symmetry_probe(
         if len(report.examples[key]) < examples_per_cell:
             report.examples[key].append(array)
         if sink is not None:
-            sink(
-                {
-                    "top": list(array.top_symbols),
-                    "bottom": list(array.bottom_symbols),
-                    "hypothesis": hyp,
-                    "symmetric": sym,
-                }
-            )
+            sink(dict(array_to_json(array), hypothesis=hyp, symmetric=sym))
     return report
 
 
@@ -419,7 +411,8 @@ def array_to_json(array: TwoRowedArray) -> dict:
 def array_from_json(
     obj: dict, top_alphabet: SignedAlphabet, bottom_alphabet: SignedAlphabet
 ) -> TwoRowedArray:
-    if not isinstance(obj, dict) or "top" not in obj or "bottom" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("top"), list)
+            and isinstance(obj.get("bottom"), list)):
         raise ValidationError('array JSON must have "top" and "bottom" arrays')
     top = obj["top"]
     bottom = obj["bottom"]

@@ -111,24 +111,20 @@ class SkewDiagram:
         return SkewDiagram(conjugate_partition(self.outer), conjugate_partition(self.inner))
 
 
+def _one_cell_per_line(skew: SkewDiagram, axis: int) -> bool:
+    """Whether no two cells share coordinate `axis` (0 for rows, 1 for columns)."""
+    lines = [cell[axis] for cell in skew.cells()]
+    return len(lines) == len(set(lines))
+
+
 def is_horizontal_strip(skew: SkewDiagram) -> bool:
     """Whether the skew diagram has at most one cell in every column."""
-    seen: set[int] = set()
-    for _, j in skew.cells():
-        if j in seen:
-            return False
-        seen.add(j)
-    return True
+    return _one_cell_per_line(skew, 1)
 
 
 def is_vertical_strip(skew: SkewDiagram) -> bool:
     """Whether the skew diagram has at most one cell in every row."""
-    seen: set[int] = set()
-    for i, _ in skew.cells():
-        if i in seen:
-            return False
-        seen.add(i)
-    return True
+    return _one_cell_per_line(skew, 0)
 
 
 def shape_to_json(lam: Sequence[int]) -> list[int]:

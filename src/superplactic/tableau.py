@@ -327,21 +327,31 @@ def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator
     n = len(alphabet)
     rows = [[-1] * L for L in lam]
     cell_list = [(i, j) for i, L in enumerate(lam) for j in range(L)]
+    size = len(cell_list)
 
-    def fill(pos: int) -> Iterator[Tableau]:
-        if pos == len(cell_list):
-            yield Tableau(alphabet, [tuple(r) for r in rows])
-            return
-        i, j = cell_list[pos]
-        lo = row_next[rows[i][j - 1]] if j > 0 else 0
-        if i > 0:
-            lo = max(lo, col_next[rows[i - 1][j]])
-        for x in range(lo, n):
+    def fill() -> Iterator[Tableau]:
+        pos = x = 0  # the cell to fill next and the smallest letter it may take
+        while True:
+            if pos == size:
+                yield Tableau(alphabet, rows)
+                x = n
+            # With no letter left, step back a cell and try its next letter.
+            while x == n:
+                if pos == 0:
+                    return
+                pos -= 1
+                i, j = cell_list[pos]
+                x = rows[i][j] + 1
+            i, j = cell_list[pos]
             rows[i][j] = x
-            yield from fill(pos + 1)
-        rows[i][j] = -1
+            pos += 1
+            if pos < size:
+                i, j = cell_list[pos]
+                x = row_next[rows[i][j - 1]] if j > 0 else 0
+                if i > 0:
+                    x = max(x, col_next[rows[i - 1][j]])
 
-    return fill(0)
+    return fill()
 
 
 def enumerate_standard(lam: Iterable[int]) -> int:

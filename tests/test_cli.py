@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superplactic.cli import main
 
@@ -317,6 +323,18 @@ class TestProbeAndPieri:
         assert blob["total"] == 13
         assert sum(blob["counts"].values()) == 13
 
+    def test_probe_long_arrays(self, files, capsys):
+        one = files["dir"] / "one.json"
+        one.write_text(json.dumps({"letters": ["1"], "parity": [0]}))
+        out_path = files["dir"] / "long.jsonl"
+        code, out, err = run_cli(
+            ["probe", "--alphabet-l", str(one), "--alphabet-p", str(one), "--max-cols", "1100",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("arrays: 1101\n")
+
     def test_pieri_text(self, files, capsys):
         code, out, _ = run_cli(
             ["pieri", "--shape", "2,1", "--p", "2", "--alphabet", files["mixed4"]], capsys
@@ -407,6 +425,38 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("ShapeError:")
 
+    @pytest.mark.parametrize(
+        "text, args, error",
+        [
+            ('{"top": [["1"]], "bottom": ["1"]}',
+             ["validate", "--array", "{bad}", "--alphabet-l", "{mixed2}", "--alphabet-p", "{mixed2}"],
+             "ForeignLetterError:"),
+            ('{"top": 5, "bottom": 5}',
+             ["validate", "--array", "{bad}", "--alphabet-l", "{mixed2}", "--alphabet-p", "{mixed2}"],
+             "ValidationError:"),
+            ('{"rows": [[["1"]]]}', ["validate", "--tableau", "{bad}", "--alphabet", "{mixed4}"],
+             "ForeignLetterError:"),
+            ('{"rows": [[["1"]]]}', ["delete", "--index", "1", "--tableau", "{bad}", "--alphabet", "{mixed4}"],
+             "ForeignLetterError:"),
+            ('{"rows": [[["1"]]]}', ["word-of-tableau", "--tableau", "{bad}", "--alphabet", "{mixed4}"],
+             "ForeignLetterError:"),
+            ('{"letters": 5, "parity": [0]}', ["tableau-of-word", "--word", "1", "--alphabet", "{bad}"],
+             "AlphabetError:"),
+            ("[" * 100000 + "]" * 100000, ["tableau-of-word", "--word", "1", "--alphabet", "{bad}"],
+             "invalid JSON input"),
+        ],
+        ids=["array-list-letter", "array-int-rows", "tableau-list-letter-validate",
+             "tableau-list-letter-delete", "tableau-list-letter-word", "alphabet-int-letters",
+             "nested-100k-deep"],
+    )
+    def test_malformed_json_content_exit_one(self, files, capsys, text, args, error):
+        bad = files["dir"] / "malformed.json"
+        bad.write_text(text)
+        code, _, err = run_cli([a.format(bad=bad, **files) for a in args], capsys)
+        assert code == 1
+        assert err.startswith(error)
+        assert "Traceback" not in err
+
     def test_usage_mentions_program_name(self, files, capsys):
         code, _, err = run_cli(["validate", "--alphabet", files["mixed4"]], capsys)
         assert code == 2
@@ -428,3 +478,84 @@ class TestDeterminism:
         first = run_cli(args, capsys)
         second = run_cli(args, capsys)
         assert first == second
+
+
+# Random JSON documents: any JSON value, or one shaped like the expected
+# file with random fields.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_letters = st.sampled_from(["1", "2", "3", "4"]) | _json_values
+_alphabets = _json_values | st.fixed_dictionaries({
+    "letters": st.lists(st.sampled_from(["1", "2", "3", "4"]) | st.text(max_size=2), max_size=4) | _json_values,
+    "parity": st.lists(st.sampled_from([0, 1]) | _json_values, max_size=4) | _json_values,
+})
+_tableaux = _json_values | st.fixed_dictionaries(
+    {"rows": st.lists(st.lists(_letters, max_size=3), max_size=3) | _json_values},
+    optional={"shape": st.lists(st.integers(-1, 3), max_size=3) | _json_values},
+)
+_arrays = _json_values | st.fixed_dictionaries({
+    "top": st.lists(_letters, max_size=4) | _json_values,
+    "bottom": st.lists(_letters, max_size=4) | _json_values,
+})
+
+
+def _run_in_process(args):
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alphabet_l=_alphabets,
+    alphabet_p=_alphabets,
+    t=_tableaux,
+    u=_tableaux,
+    array=_arrays,
+    word=st.text(alphabet="1234x, ", max_size=6),
+    number=st.integers(-1, 3),
+    shape=st.text(alphabet="0123,x", max_size=4),
+)
+def test_random_json_never_gives_a_traceback(alphabet_l, alphabet_p, t, u, array, word, number, shape):
+    """Every command on random JSON files exits 0, 1 or 2 with no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in (("l", alphabet_l), ("p", alphabet_p), ("t", t), ("u", u), ("s", array)):
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        n = str(number)
+        l, p = ["--alphabet", paths["l"]], ["--alphabet-l", paths["l"], "--alphabet-p", paths["p"]]
+        commands = [
+            ["validate", "--tableau", paths["t"]] + l,
+            ["validate", "--array", paths["s"]] + p,
+            ["insert", "--tableau", paths["t"], "--letters", word] + l,
+            ["insert", "--mode", "col", "--tableau", paths["t"], "--letters", word] + l,
+            ["delete", "--index", n, "--tableau", paths["t"]] + l,
+            ["delete", "--mode", "col", "--index", n, "--tableau", paths["t"]] + l,
+            ["tableau-of-word", "--word", word] + l,
+            ["word-of-tableau", "--tableau", paths["t"]] + l,
+            ["normal-form", "--word", word] + l,
+            ["class", "--word", word, "--limit", n] + l,
+            ["greene", "--word", word, "--k", n] + l,
+            ["greene", "--word", word, "--k", n, "--mode", "shape"] + l,
+            ["rsk", "--array", paths["s"]] + p,
+            ["rsk-inverse", "--t", paths["t"], "--u", paths["u"]] + p,
+            ["symmetry", "--array", paths["s"]] + p,
+            ["probe", "--max-cols", n, "--out", os.path.join(tmp, "records.jsonl")] + p,
+            ["pieri", "--shape", shape, "--p", n] + l,
+            ["pieri", "--shape", shape, "--p", n, "--mode", "col"] + l,
+        ]
+        for args in commands:
+            for extra in ([], ["--json"]):
+                code, _, err = _run_in_process(args + extra)
+                assert code in (0, 1, 2), (args, code, err)
+                assert "Traceback" not in err, (args, err)

@@ -82,6 +82,40 @@ class TestValidateArray:
         t, u = rsk_forward(arr)
         assert t.shape == () and u.shape == ()
 
+    def test_matches_rule_on_bottom_major_pairs(self):
+        """Every sequence of up to three columns over every signed alphabet
+        pair of one or two letters, against the rule written on (b, a)
+        tuples: each column is at least the one before, and equal only at
+        pair parity 0."""
+        alphabets = [
+            make_alphabet([str(i + 1) for i in range(k)], sig)
+            for k in (1, 2)
+            for sig in all_signatures(k)
+        ]
+        for top in alphabets:
+            for bottom in alphabets:
+                cols = [(a, b) for a in top.letters for b in bottom.letters]
+                for k in range(4):
+                    for seq in itertools.product(cols, repeat=k):
+                        expected = None
+                        for t in range(k - 1):
+                            a1, b1 = seq[t]
+                            a2, b2 = seq[t + 1]
+                            if (b1, a1) > (b2, a2):
+                                fault = "are out of order"
+                            elif (a1, b1) == (a2, b2) and (top.parity_of(a1) + bottom.parity_of(b1)) % 2:
+                                fault = "repeat a pair of parity 1"
+                            else:
+                                continue
+                            expected = ("columns %d and %d %s" % (t + 1, t + 2, fault), (1, t + 2))
+                            break
+                        if expected is None:
+                            assert validate_array(seq, top, bottom).top_symbols == tuple(a for a, _ in seq)
+                        else:
+                            with pytest.raises(ValidationError) as info:
+                                validate_array(seq, top, bottom)
+                            assert (str(info.value), info.value.cell) == expected
+
 
 class TestForward:
     def test_worked_example(self, worked_array):
@@ -281,6 +315,33 @@ class TestEnumerateArrays:
         first = [a.pairs for a in enumerate_arrays(mixed2, mixed2, 3)]
         second = [a.pairs for a in enumerate_arrays(mixed2, mixed2, 3)]
         assert first == second
+
+    def test_order_pinned(self, mixed2):
+        # Each array precedes its extensions, which follow in increasing
+        # last column; (1,2) and (2,1) have pair parity 1 and never repeat.
+        assert [a.pairs for a in enumerate_arrays(mixed2, mixed2, 2)] == [
+            (),
+            ((0, 0),),
+            ((0, 0), (0, 0)),
+            ((0, 0), (1, 0)),
+            ((0, 0), (0, 1)),
+            ((0, 0), (1, 1)),
+            ((1, 0),),
+            ((1, 0), (0, 1)),
+            ((1, 0), (1, 1)),
+            ((0, 1),),
+            ((0, 1), (1, 1)),
+            ((1, 1),),
+            ((1, 1), (1, 1)),
+        ]
+
+    def test_long_arrays_stay_off_the_recursion_limit(self):
+        e = make_alphabet(["1"], [0])
+        assert sum(1 for _ in enumerate_arrays(e, e, 1500)) == 1501
+
+    def test_negative_max_cols_raises_on_call(self, mixed2):
+        with pytest.raises(ValueError):
+            enumerate_arrays(mixed2, mixed2, -1)
 
 
 class TestProbe:

@@ -239,6 +239,10 @@ class TestEnumerate:
     def test_empty_shape(self, mixed4):
         assert [t.shape for t in enumerate_tableaux((), mixed4)] == [()]
 
+    def test_long_row_stays_off_the_recursion_limit(self):
+        e = make_alphabet(["1"], [0])
+        assert [t.shape for t in enumerate_tableaux((1200,), e)] == [(1200,)]
+
 
 class TestEnumerateStandard:
     def test_small_values(self):
