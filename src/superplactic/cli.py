@@ -12,6 +12,7 @@ foreign letters), 2 on a usage error.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -49,7 +50,6 @@ from .tableau import (
     pretty,
     tableau_from_json,
     tableau_to_json,
-    validate,
     word_of,
 )
 
@@ -75,11 +75,13 @@ def _load_tableau(path: str, alphabet):
     return tableau_from_json(_load_json(path), alphabet)
 
 
-def _load_array(path: str, top_alphabet, bottom_alphabet):
-    return array_from_json(_load_json(path), top_alphabet, bottom_alphabet)
+def _load_array(path: str, l_path: str, p_path: str):
+    alphabets = _load_alphabet_pair(l_path, p_path)  # first, so their errors come first
+    return array_from_json(_load_json(path), *alphabets)
 
 
-def _parse_word(text: str, alphabet) -> Word:
+def _parse_word(text: str, alphabet_path: str) -> Word:
+    alphabet = _load_alphabet(alphabet_path)
     if text.strip() == "":
         return Word(alphabet, ())
     return Word(alphabet, [s.strip() for s in text.split(",")])
@@ -96,26 +98,24 @@ def _parse_shape(text: str):
     return as_partition(parts)
 
 
-def _emit(obj: dict) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+def _file_option(flag: str, required: bool = True, help: str | None = None):
+    """An existing JSON file, passed to the command as `<flag>_path`."""
+    dest = flag.lstrip("-").replace("-", "_") + "_path"
+    return click.option(flag, dest, required=required, help=help,
+                        type=click.Path(exists=True, dir_okay=False))
 
 
-_alphabet_option = click.option(
-    "--alphabet",
-    "alphabet_path",
-    required=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Alphabet JSON file.",
-)
-_json_option = click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-
-
-def _alphabet_pair_options(required: bool):
+def _alphabet_pair_options(required: bool = True):
     """The --alphabet-l/--alphabet-p pair: top and bottom alphabets of an array."""
-    path = click.Path(exists=True, dir_okay=False)
-    l_option = click.option("--alphabet-l", "alphabet_l_path", required=required, type=path)
-    p_option = click.option("--alphabet-p", "alphabet_p_path", required=required, type=path)
-    return lambda f: l_option(p_option(f))
+    return lambda f: _file_option("--alphabet-l", required)(_file_option("--alphabet-p", required)(f))
+
+
+def _mode_option(*modes: str):
+    return click.option("--mode", type=click.Choice(modes), default="row", show_default=True)
+
+
+_alphabet_option = _file_option("--alphabet", help="Alphabet JSON file.")
+_word_option = click.option("--word", required=True)
 
 
 @click.group()
@@ -123,256 +123,188 @@ def cli() -> None:
     """Tableaux over signed alphabets: bumping, plactic classes, RSK."""
 
 
-@cli.command("validate")
-@click.option("--tableau", "tableau_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--array", "array_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--alphabet", "alphabet_path", type=click.Path(exists=True, dir_okay=False))
+def _command(name: str):
+    """Register a command whose body returns (record, text).
+
+    The command gets a --json flag after its own options and prints the
+    record as sorted, indented JSON with it, else the text.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(as_json, **kwargs):
+            record, text = body(**kwargs)
+            click.echo(json.dumps(record, indent=2, sort_keys=True) if as_json else text)
+
+        command = cli.command(name)(run)
+        command.params.append(click.Option(["--json", "as_json"], is_flag=True,
+                                           help="Machine-readable output."))
+        return command
+
+    return register
+
+
+@_command("validate")
+@_file_option("--tableau", required=False)
+@_file_option("--array", required=False)
+@_file_option("--alphabet", required=False)
 @_alphabet_pair_options(required=False)
-@_json_option
-def validate_cmd(tableau_path, array_path, alphabet_path, alphabet_l_path, alphabet_p_path, as_json):
+def validate_cmd(tableau_path, array_path, alphabet_path, alphabet_l_path, alphabet_p_path):
     """Check a tableau (with --alphabet) or an array (with --alphabet-l/-p)."""
     if (tableau_path is None) == (array_path is None):
         raise click.UsageError("pass exactly one of --tableau or --array")
     if tableau_path is not None:
         if alphabet_path is None:
             raise click.UsageError("--tableau needs --alphabet")
-        t = _load_tableau(tableau_path, _load_alphabet(alphabet_path))
-        if as_json:
-            _emit({"valid": True, "shape": list(t.shape)})
-        else:
-            click.echo("valid tableau of shape %s" % (list(t.shape),))
-    else:
-        if alphabet_l_path is None or alphabet_p_path is None:
-            raise click.UsageError("--array needs --alphabet-l and --alphabet-p")
-        s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
-        if as_json:
-            _emit({"valid": True, "columns": len(s)})
-        else:
-            click.echo("valid array with %d columns" % len(s))
+        shape = list(_load_tableau(tableau_path, _load_alphabet(alphabet_path)).shape)
+        return {"valid": True, "shape": shape}, "valid tableau of shape %s" % (shape,)
+    if alphabet_l_path is None or alphabet_p_path is None:
+        raise click.UsageError("--array needs --alphabet-l and --alphabet-p")
+    columns = len(_load_array(array_path, alphabet_l_path, alphabet_p_path))
+    return {"valid": True, "columns": columns}, "valid array with %d columns" % columns
 
 
-@cli.command("insert")
-@click.option("--mode", type=click.Choice(["row", "col"]), default="row", show_default=True)
-@click.option("--tableau", "tableau_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_command("insert")
+@_mode_option("row", "col")
+@_file_option("--tableau")
 @click.option("--letters", required=True, help="Comma-separated letters to insert, in order.")
 @_alphabet_option
-@_json_option
-def insert_cmd(mode, tableau_path, letters, alphabet_path, as_json):
+def insert_cmd(mode, tableau_path, letters, alphabet_path):
     """Insert letters one by one, reporting each bumping path."""
-    alphabet = _load_alphabet(alphabet_path)
-    t = _load_tableau(tableau_path, alphabet)
-    steps = []
+    t = _load_tableau(tableau_path, _load_alphabet(alphabet_path))
+    label = "row" if mode == "row" else "column"
+    steps, lines = [], []
     for sym in [s.strip() for s in letters.split(",")]:
         if mode == "row":
             t, idx, trace = row_insert_trace(t, sym)
         else:
             t, idx, trace = col_insert_trace(sym, t)
-        steps.append((sym, idx, trace))
-    if as_json:
-        _emit(
-            {
-                "mode": mode,
-                "steps": [
-                    {
-                        "letter": sym,
-                        "index": idx,
-                        "path": [{"row": r, "col": c, "letter": v} for r, c, v in trace],
-                    }
-                    for sym, idx, trace in steps
-                ],
-                "tableau": tableau_to_json(t),
-            }
-        )
-    else:
-        label = "row" if mode == "row" else "column"
-        for sym, idx, trace in steps:
-            path = " ".join("(%d,%d)=%s" % (r, c, v) for r, c, v in trace)
-            click.echo("insert %s: %s %d; path %s" % (sym, label, idx, path))
-        click.echo(pretty(t))
+        steps.append({"letter": sym, "index": idx,
+                      "path": [{"row": r, "col": c, "letter": v} for r, c, v in trace]})
+        path = " ".join("(%d,%d)=%s" % (r, c, v) for r, c, v in trace)
+        lines.append("insert %s: %s %d; path %s" % (sym, label, idx, path))
+    lines.append(pretty(t))
+    return {"mode": mode, "steps": steps, "tableau": tableau_to_json(t)}, "\n".join(lines)
 
 
-@cli.command("delete")
-@click.option("--mode", type=click.Choice(["row", "col"]), default="row", show_default=True)
+@_command("delete")
+@_mode_option("row", "col")
 @click.option("--index", required=True, type=int, help="Row (or column) index, 1-based.")
-@click.option("--tableau", "tableau_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_file_option("--tableau")
 @_alphabet_option
-@_json_option
-def delete_cmd(mode, index, tableau_path, alphabet_path, as_json):
+def delete_cmd(mode, index, tableau_path, alphabet_path):
     """Delete at a corner, reporting the ejected letter."""
-    alphabet = _load_alphabet(alphabet_path)
-    t = _load_tableau(tableau_path, alphabet)
-    if mode == "row":
-        t, letter = row_delete(t, index)
-    else:
-        t, letter = col_delete(t, index)
-    if as_json:
-        _emit({"mode": mode, "letter": letter, "tableau": tableau_to_json(t)})
-    else:
-        click.echo("ejected %s" % letter)
-        click.echo(pretty(t))
+    t = _load_tableau(tableau_path, _load_alphabet(alphabet_path))
+    t, letter = (row_delete if mode == "row" else col_delete)(t, index)
+    text = "ejected %s\n%s" % (letter, pretty(t))
+    return {"mode": mode, "letter": letter, "tableau": tableau_to_json(t)}, text
 
 
-@cli.command("tableau-of-word")
-@click.option("--word", required=True)
+@_command("tableau-of-word")
+@_word_option
 @_alphabet_option
-@_json_option
-def tableau_of_word_cmd(word, alphabet_path, as_json):
+def tableau_of_word_cmd(word, alphabet_path):
     """Tableau of a word."""
-    alphabet = _load_alphabet(alphabet_path)
-    t = tableau_of_word(_parse_word(word, alphabet))
-    if as_json:
-        _emit({"tableau": tableau_to_json(t)})
-    else:
-        click.echo(pretty(t))
+    t = tableau_of_word(_parse_word(word, alphabet_path))
+    return {"tableau": tableau_to_json(t)}, pretty(t)
 
 
-@cli.command("word-of-tableau")
-@click.option("--tableau", "tableau_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_command("word-of-tableau")
+@_file_option("--tableau")
 @_alphabet_option
-@_json_option
-def word_of_tableau_cmd(tableau_path, alphabet_path, as_json):
+def word_of_tableau_cmd(tableau_path, alphabet_path):
     """Reading word of a tableau, bottom row up."""
-    alphabet = _load_alphabet(alphabet_path)
-    w = word_of(_load_tableau(tableau_path, alphabet))
-    if as_json:
-        _emit({"word": list(w.symbols)})
-    else:
-        click.echo(",".join(w.symbols))
+    symbols = list(word_of(_load_tableau(tableau_path, _load_alphabet(alphabet_path))).symbols)
+    return {"word": symbols}, ",".join(symbols)
 
 
-@cli.command("normal-form")
-@click.option("--word", required=True)
+@_command("normal-form")
+@_word_option
 @_alphabet_option
-@_json_option
-def normal_form_cmd(word, alphabet_path, as_json):
+def normal_form_cmd(word, alphabet_path):
     """Canonical (tableau) word of the congruence class."""
-    alphabet = _load_alphabet(alphabet_path)
-    w = canonical_word(_parse_word(word, alphabet))
-    if as_json:
-        _emit({"word": list(w.symbols)})
-    else:
-        click.echo(",".join(w.symbols))
+    symbols = list(canonical_word(_parse_word(word, alphabet_path)).symbols)
+    return {"word": symbols}, ",".join(symbols)
 
 
-@cli.command("class")
-@click.option("--word", required=True)
+@_command("class")
+@_word_option
 @click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
               help="Print at most this many members.")
 @click.option("--max-len", default=9, show_default=True, help="Word length bound for the search.")
 @_alphabet_option
-@_json_option
-def class_cmd(word, limit, max_len, alphabet_path, as_json):
+def class_cmd(word, limit, max_len, alphabet_path):
     """Congruence class of a word: size, canonical form, members.
 
     The state cap of the search honors SUPERPLACTIC_MAX_STATES.
     """
-    alphabet = _load_alphabet(alphabet_path)
-    w = _parse_word(word, alphabet)
+    w = _parse_word(word, alphabet_path)
     members = sorted(plactic_class(w, max_len=max_len), key=lambda u: u.letters)
-    canon = canonical_word(w)
-    if as_json:
-        _emit(
-            {
-                "size": len(members),
-                "canonical": list(canon.symbols),
-                "words": [list(u.symbols) for u in members[:limit]],
-            }
-        )
-    else:
-        click.echo("size %d" % len(members))
-        click.echo("canonical %s" % ",".join(canon.symbols))
-        for u in members[:limit]:
-            click.echo(",".join(u.symbols))
-        if len(members) > limit:
-            click.echo("... (%d more)" % (len(members) - limit))
+    canon = list(canonical_word(w).symbols)
+    shown = [list(u.symbols) for u in members[:limit]]
+    lines = ["size %d" % len(members), "canonical %s" % ",".join(canon)] + [",".join(u) for u in shown]
+    if len(members) > limit:
+        lines.append("... (%d more)" % (len(members) - limit))
+    return {"size": len(members), "canonical": canon, "words": shown}, "\n".join(lines)
 
 
-@cli.command("greene")
-@click.option("--word", required=True)
+@_command("greene")
+@_word_option
 @click.option("--k", required=True, type=click.IntRange(min=1))
-@click.option("--mode", type=click.Choice(["row", "col", "shape"]), default="row", show_default=True)
+@_mode_option("row", "col", "shape")
 @_alphabet_option
-@_json_option
-def greene_cmd(word, k, mode, alphabet_path, as_json):
+def greene_cmd(word, k, mode, alphabet_path):
     """Greene invariant by the chain dynamic program, or read off the shape."""
-    alphabet = _load_alphabet(alphabet_path)
-    w = _parse_word(word, alphabet)
+    w = _parse_word(word, alphabet_path)
     if mode == "shape":
-        row_val = greene_via_shape(w, k, "row")
-        col_val = greene_via_shape(w, k, "col")
-        if as_json:
-            _emit({"k": k, "mode": mode, "row": row_val, "col": col_val})
-        else:
-            click.echo("via shape: row %d, col %d" % (row_val, col_val))
-    else:
-        value = greene_row(w, k) if mode == "row" else greene_col(w, k)
-        if as_json:
-            _emit({"k": k, "mode": mode, "value": value})
-        else:
-            click.echo("%s invariant k=%d: %d" % (mode, k, value))
+        row, col = greene_via_shape(w, k, "row"), greene_via_shape(w, k, "col")
+        return {"k": k, "mode": mode, "row": row, "col": col}, "via shape: row %d, col %d" % (row, col)
+    value = greene_row(w, k) if mode == "row" else greene_col(w, k)
+    return {"k": k, "mode": mode, "value": value}, "%s invariant k=%d: %d" % (mode, k, value)
 
 
-@cli.command("rsk")
-@click.option("--array", "array_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@_alphabet_pair_options(required=True)
-@_json_option
-def rsk_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
+@_command("rsk")
+@_file_option("--array")
+@_alphabet_pair_options()
+def rsk_cmd(array_path, alphabet_l_path, alphabet_p_path):
     """Correspondence: array to the tableau pair (T, U)."""
-    s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
-    t, u = rsk_forward(s)
-    if as_json:
-        _emit({"t": tableau_to_json(t), "u": tableau_to_json(u)})
-    else:
-        click.echo("T:")
-        click.echo(pretty(t))
-        click.echo("U:")
-        click.echo(pretty(u))
+    t, u = rsk_forward(_load_array(array_path, alphabet_l_path, alphabet_p_path))
+    return {"t": tableau_to_json(t), "u": tableau_to_json(u)}, "T:\n%s\nU:\n%s" % (pretty(t), pretty(u))
 
 
-@cli.command("rsk-inverse")
-@click.option("--t", "t_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--u", "u_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@_alphabet_pair_options(required=True)
-@_json_option
-def rsk_inverse_cmd(t_path, u_path, alphabet_l_path, alphabet_p_path, as_json):
+@_command("rsk-inverse")
+@_file_option("--t")
+@_file_option("--u")
+@_alphabet_pair_options()
+def rsk_inverse_cmd(t_path, u_path, alphabet_l_path, alphabet_p_path):
     """Inverse correspondence: equal-shape pair back to the array."""
     alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
-    t = _load_tableau(t_path, alphabet_l)
-    u = _load_tableau(u_path, alphabet_p)
-    s = rsk_inverse(t, u)
-    if as_json:
-        _emit({"array": array_to_json(s)})
-    else:
-        click.echo(s.pretty())
+    s = rsk_inverse(_load_tableau(t_path, alphabet_l), _load_tableau(u_path, alphabet_p))
+    return {"array": array_to_json(s)}, s.pretty()
 
 
-@cli.command("symmetry")
-@click.option("--array", "array_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@_alphabet_pair_options(required=True)
-@_json_option
-def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path, as_json):
+@_command("symmetry")
+@_file_option("--array")
+@_alphabet_pair_options()
+def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path):
     """Whether the involution swaps T and U for this array."""
-    s = _load_array(array_path, *_load_alphabet_pair(alphabet_l_path, alphabet_p_path))
+    s = _load_array(array_path, alphabet_l_path, alphabet_p_path)
     try:
         symmetric = check_susy(s)
         hypotheses = True
     except HypothesisError:
         symmetric = has_symmetry(s)
         hypotheses = False
-    if as_json:
-        _emit({"symmetric": symmetric, "hypotheses": hypotheses})
-    else:
-        click.echo("symmetric: %s" % ("yes" if symmetric else "no"))
-        click.echo("hypotheses: %s" % ("satisfied" if hypotheses else "not satisfied"))
+    text = "symmetric: %s\nhypotheses: %s" % ("yes" if symmetric else "no",
+                                              "satisfied" if hypotheses else "not satisfied")
+    return {"symmetric": symmetric, "hypotheses": hypotheses}, text
 
 
-@cli.command("probe")
-@_alphabet_pair_options(required=True)
+@_command("probe")
+@_alphabet_pair_options()
 @click.option("--max-cols", required=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, writable=True),
               help="JSON-lines file, one record per array.")
-@_json_option
-def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path, as_json):
+def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
     """Survey symmetry over all arrays with at most MAX_COLS columns."""
     alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -380,43 +312,33 @@ def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path, as_json):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
         report = symmetry_probe(alphabet_l, alphabet_p, max_cols, sink=sink)
-    obj = report.to_json_obj()
-    if as_json:
-        _emit(obj)
-    else:
-        click.echo("arrays: %d" % obj["total"])
-        for name, count in obj["counts"].items():
-            click.echo("%s: %d" % (name, count))
-        click.echo("records written to %s" % out_path)
+    record = report.to_json_obj()
+    lines = ["arrays: %d" % record["total"]] + ["%s: %d" % item for item in record["counts"].items()]
+    lines.append("records written to %s" % out_path)
+    return record, "\n".join(lines)
 
 
-@cli.command("pieri")
+@_command("pieri")
 @click.option("--shape", required=True, help="Comma-separated partition, e.g. 2,1.")
 @click.option("--p", required=True, type=click.IntRange(min=0))
-@click.option("--mode", type=click.Choice(["row", "col"]), default="row", show_default=True)
+@_mode_option("row", "col")
 @_alphabet_option
-@_json_option
-def pieri_cmd(shape, p, mode, alphabet_path, as_json):
+def pieri_cmd(shape, p, mode, alphabet_path):
     """Check the Pieri expansion for s_shape times a row or column sum."""
     alphabet = _load_alphabet(alphabet_path)
     report = pieri_check(_parse_shape(shape), p, alphabet, mode)
-    if as_json:
-        _emit(
-            {
-                "equal": report.equal,
-                "mode": report.mode,
-                "shape": list(report.lam),
-                "p": report.p,
-                "by_shape": [
-                    {"shape": list(shp), "left": left, "right": right}
-                    for shp, left, right in report.by_shape
-                ],
-            }
-        )
-    else:
-        click.echo("equal: %s" % ("yes" if report.equal else "no"))
-        for shp, left, right in report.by_shape:
-            click.echo("shape %s: left %d, right %d" % (",".join(map(str, shp)) or "-", left, right))
+    record = {
+        "equal": report.equal,
+        "mode": report.mode,
+        "shape": list(report.lam),
+        "p": report.p,
+        "by_shape": [{"shape": list(shp), "left": left, "right": right}
+                     for shp, left, right in report.by_shape],
+    }
+    lines = ["equal: %s" % ("yes" if report.equal else "no")]
+    lines += ["shape %s: left %d, right %d" % (",".join(map(str, shp)) or "-", left, right)
+              for shp, left, right in report.by_shape]
+    return record, "\n".join(lines)
 
 
 def main(argv=None):
@@ -431,7 +353,9 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
-    except SuperplacticError as exc:
+    except (SuperplacticError, UnicodeError) as exc:
+        # An input file that is not UTF-8, or a letter the output stream
+        # cannot encode (a lone surrogate from a JSON escape), is bad input.
         click.echo("%s: %s" % (type(exc).__name__, exc), err=True)
         sys.exit(1)
     except json.JSONDecodeError as exc:

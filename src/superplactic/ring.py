@@ -24,7 +24,7 @@ from .shape import (
     is_vertical_strip,
     partitions,
 )
-from .tableau import Tableau, Word, enumerate_tableaux, word_of
+from .tableau import Tableau, enumerate_tableaux, word_of
 
 DEFAULT_MAX_PIERI_CELLS = 12
 

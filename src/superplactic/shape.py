@@ -60,13 +60,25 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     decreasing order."""
     if n < 0:
         raise ShapeError("cannot partition a negative integer")
-    cap = n if max_part is None else min(max_part, n)
-    if n == 0:
-        yield ()
+    top = n if max_part is None else min(max_part, n)
+    if top <= 0 < n:
         return
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    # Fill the remainder greedily with parts of at most `top`, then step to
+    # the next partition: drop the trailing ones and lower the last larger
+    # part by one, which bounds the parts that refill the remainder.
+    parts: list[int] = []
+    rest = n
+    while True:
+        while rest:
+            parts.append(min(top, rest))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        top = parts[-1] - 1
+        rest += parts.pop()
 
 
 class SkewDiagram:

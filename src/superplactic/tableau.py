@@ -18,6 +18,7 @@ Symbols appear at the construction and serialization boundary.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from .alphabet import SignedAlphabet, conjugate_alphabet
@@ -358,25 +359,13 @@ def enumerate_standard(lam: Iterable[int]) -> int:
     """Count standard fillings of the shape: entries 1..n, all treated as
     parity 0, strictly increasing along rows and down columns.
 
-    Counts by backtracking over the order in which cells are added, one
-    addable corner at a time.
+    Counts by the hook length formula: n! over the product of the hook
+    lengths of the cells.
     """
     lam = as_partition(lam)
-    n = sum(lam)
-    cur = [0] * len(lam)
-
-    def grow(placed: int) -> int:
-        if placed == n:
-            return 1
-        total = 0
-        for r in range(len(lam)):
-            if cur[r] < lam[r] and (r == 0 or cur[r - 1] > cur[r]):
-                cur[r] += 1
-                total += grow(placed + 1)
-                cur[r] -= 1
-        return total
-
-    return grow(0)
+    conj = conjugate_partition(lam)
+    hooks = math.prod(row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row))
+    return math.factorial(sum(lam)) // hooks
 
 
 def pretty(tableau: Tableau | SkewTableau) -> str:

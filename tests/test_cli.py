@@ -1,14 +1,16 @@
 import contextlib
+import inspect
 import io
 import json
 import os
 import tempfile
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superplactic.cli import main
+from superplactic.cli import cli, main
 
 
 def run_cli(args, capsys):
@@ -457,10 +459,163 @@ class TestExitCodes:
         assert err.startswith(error)
         assert "Traceback" not in err
 
+    def test_unencodable_letter_exit_one(self, files, capsys):
+        # capsys encodes its capture as UTF-8, which a lone surrogate fails.
+        alphabet = files["dir"] / "surrogate.json"
+        alphabet.write_text(json.dumps({"letters": ["\ud800"], "parity": [0]}))
+        tableau = files["dir"] / "surrogate_tableau.json"
+        tableau.write_text(json.dumps({"rows": [["\ud800"]]}))
+        args = ["word-of-tableau", "--tableau", str(tableau), "--alphabet", str(alphabet)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("UnicodeEncodeError:") and err.count("\n") == 1
+        code, out, _ = run_cli(args + ["--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"word": ["\ud800"]}
+
+    def test_undecodable_file_exit_one(self, files, capsys):
+        bad = files["dir"] / "utf16.json"
+        bad.write_bytes(json.dumps({"letters": ["1"], "parity": [0]}).encode("utf-16"))
+        code, out, err = run_cli(["tableau-of-word", "--word", "1", "--alphabet", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("UnicodeDecodeError:") and err.count("\n") == 1
+
     def test_usage_mentions_program_name(self, files, capsys):
         code, _, err = run_cli(["validate", "--alphabet", files["mixed4"]], capsys)
         assert code == 2
         assert "superplactic" in err
+
+
+# Golden transcript: tests/cli_transcript.json holds stdout, stderr and the
+# exit code of every README command example, in text and with --json, and of
+# the domain errors; the exit code of the usage errors; and each command's
+# help and option declarations.  It was written by `_transcript` before the
+# command bodies were rewritten, and any change to it is a change of the
+# CLI's output.  Regenerate with `PYTHONPATH=src python tests/test_cli.py`
+# only when that change is meant.
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_transcript.json")
+
+_MIXED4 = {"letters": ["1", "2", "3", "4"], "parity": [0, 0, 1, 1]}
+_GOLDEN_FILES = {
+    "a.json": _MIXED4,
+    "l.json": _MIXED4,
+    "p.json": _MIXED4,
+    "t.json": {"shape": [3, 1], "rows": [["1", "3", "4"], ["2"]]},
+    "u.json": {"shape": [3, 1], "rows": [["1", "2", "3"], ["4"]]},
+    "s.json": {"top": ["3", "4", "1", "2"], "bottom": ["1", "2", "3", "4"]},
+    "bad_t.json": {"shape": [2], "rows": [["3", "3"]]},
+    "bad_s.json": {"top": ["2", "1"], "bottom": ["1", "1"]},
+}
+_GOLDEN_TEXTS = {"oops.json": "{oops", "deep.json": "[" * 100000 + "]" * 100000}
+
+_A = ["--alphabet", "{dir}/a.json"]
+_LP = ["--alphabet-l", "{dir}/l.json", "--alphabet-p", "{dir}/p.json"]
+# Run in text and with --json; every output is compared.
+_GOLDEN_CASES = [
+    ["validate", "--tableau", "{dir}/t.json"] + _A,
+    ["validate", "--array", "{dir}/s.json"] + _LP,
+    ["insert", "--mode", "row", "--tableau", "{dir}/t.json", "--letters", "1,3"] + _A,
+    ["insert", "--mode", "col", "--tableau", "{dir}/t.json", "--letters", "2,1,4"] + _A,
+    ["delete", "--mode", "col", "--index", "2", "--tableau", "{dir}/t.json"] + _A,
+    ["delete", "--mode", "col", "--index", "3", "--tableau", "{dir}/t.json"] + _A,
+    ["delete", "--mode", "row", "--index", "2", "--tableau", "{dir}/t.json"] + _A,
+    ["delete", "--index", "5", "--tableau", "{dir}/t.json"] + _A,
+    ["tableau-of-word", "--word", "2,1,1"] + _A,
+    ["tableau-of-word", "--word", ""] + _A,
+    ["word-of-tableau", "--tableau", "{dir}/t.json"] + _A,
+    ["normal-form", "--word", "2,1,1"] + _A,
+    ["class", "--word", "2,1,1"] + _A,
+    ["class", "--word", "2,1,3,1", "--limit", "2", "--max-len", "4"] + _A,
+    ["class", "--word", "2,1,1", "--limit", "0"] + _A,
+    ["class", "--word", "2,1,1,3", "--max-len", "3"] + _A,
+    ["greene", "--word", "1,2,2,3", "--k", "2", "--mode", "row"] + _A,
+    ["greene", "--word", "1,2,2,3", "--k", "2", "--mode", "col"] + _A,
+    ["greene", "--word", "1,2,2,3", "--k", "2", "--mode", "shape"] + _A,
+    ["greene", "--word", "1,2,3,4,1,2,3,4,1,2,3", "--k", "2"] + _A,
+    ["rsk", "--array", "{dir}/s.json"] + _LP,
+    ["rsk-inverse", "--t", "{dir}/t.json", "--u", "{dir}/u.json"] + _LP,
+    ["symmetry", "--array", "{dir}/s.json"] + _LP,
+    ["probe", "--max-cols", "2", "--out", "{dir}/records.jsonl"] + _LP,
+    ["pieri", "--shape", "2,1", "--p", "2", "--mode", "row"] + _A,
+    ["pieri", "--shape", "2,1", "--p", "2", "--mode", "col"] + _A,
+    ["pieri", "--shape", "", "--p", "0"] + _A,
+    ["pieri", "--shape", "6,5", "--p", "2"] + _A,
+    ["validate", "--tableau", "{dir}/bad_t.json"] + _A,
+    ["validate", "--array", "{dir}/bad_s.json"] + _LP,
+    ["tableau-of-word", "--word", "9"] + _A,
+    ["tableau-of-word", "--word", "1", "--alphabet", "{dir}/oops.json"],
+    ["tableau-of-word", "--word", "1", "--alphabet", "{dir}/deep.json"],
+]
+# Only the exit code is compared: click words usage errors differently
+# between versions.
+_GOLDEN_USAGE_CASES = [
+    ["nosuch"],
+    ["validate"] + _A,
+    ["validate", "--tableau", "{dir}/t.json", "--array", "{dir}/s.json"] + _A,
+    ["validate", "--tableau", "{dir}/t.json"],
+    ["validate", "--array", "{dir}/s.json", "--alphabet-l", "{dir}/l.json"],
+    ["tableau-of-word", "--word", "1", "--alphabet", "{dir}/missing.json"],
+    ["tableau-of-word"] + _A,
+    ["insert", "--mode", "diag", "--tableau", "{dir}/t.json", "--letters", "1"] + _A,
+    ["greene", "--word", "1,2", "--k", "0"] + _A,
+    ["class", "--word", "1", "--limit", "-1"] + _A,
+    ["pieri", "--shape", "2,1", "--p", "-1"] + _A,
+    ["pieri", "--shape", "x", "--p", "1"] + _A,
+    ["probe", "--max-cols", "-1", "--out", "{dir}/records.jsonl"] + _LP,
+    ["rsk", "--array", "{dir}/s.json", "--bogus"] + _LP,
+]
+
+
+def _declarations():
+    """Each command's help and, per option, its names, help and whether it is
+    required; `--json` must come last, just before click's `--help`."""
+    out = {}
+    for name, command in sorted(cli.commands.items()):
+        params = command.get_params(click.Context(command))
+        assert [p.name for p in params[-2:]] == ["as_json", "help"], name
+        out[name] = {
+            "help": inspect.cleandoc(command.help or ""),
+            "params": [[p.opts + p.secondary_opts, p.help, p.required] for p in params[:-1]],
+        }
+    return out
+
+
+def _transcript(tmp):
+    """The golden record, with the temporary directory written as {dir}."""
+    for name, obj in _GOLDEN_FILES.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    for name, text in _GOLDEN_TEXTS.items():
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def run(args):
+        code, out, err = _run_in_process([a.format(dir=tmp) for a in args])
+        return code, out.replace(tmp, "{dir}"), err.replace(tmp, "{dir}")
+
+    records = os.path.join(tmp, "records.jsonl")
+    outputs = []
+    for args in _GOLDEN_CASES:
+        for extra in ([], ["--json"]):
+            code, out, err = run(args + extra)
+            outputs.append({"args": args + extra, "exit": code, "stdout": out, "stderr": err})
+            if os.path.exists(records):
+                with open(records, encoding="utf-8") as fh:
+                    outputs[-1]["records"] = fh.read()
+                os.remove(records)
+    usage = [{"args": args, "exit": run(args)[0]} for args in _GOLDEN_USAGE_CASES]
+    return {"outputs": outputs, "usage_errors": usage, "commands": _declarations()}
+
+
+def test_golden_transcript(tmp_path):
+    with open(_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = _transcript(str(tmp_path))
+    assert got["commands"] == golden["commands"]
+    assert got["usage_errors"] == golden["usage_errors"]
+    assert len(got["outputs"]) == len(golden["outputs"])
+    for have, want in zip(got["outputs"], golden["outputs"]):
+        assert have == want
 
 
 class TestDeterminism:
@@ -559,3 +714,11 @@ def test_random_json_never_gives_a_traceback(alphabet_l, alphabet_p, t, u, array
                 code, _, err = _run_in_process(args + extra)
                 assert code in (0, 1, 2), (args, code, err)
                 assert "Traceback" not in err, (args, err)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = _transcript(tmp)
+    with open(_GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -90,6 +90,20 @@ def test_partitions_deterministic_and_largest_first():
     assert list(partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def test_partitions_edge_cases():
+    assert [list(partitions(0, m)) for m in (None, -1, 0, 1)] == [[()]] * 4
+    assert [list(partitions(3, m)) for m in (-1, 0)] == [[], []]
+    assert list(partitions(3, 7)) == list(partitions(3))
+    negative = partitions(-1)  # raises on the first next, not on the call
+    with pytest.raises(ShapeError):
+        next(negative)
+
+
+def test_partitions_stay_off_the_recursion_limit():
+    assert next(partitions(1200, 1)) == (1,) * 1200
+    assert next(partitions(1200)) == (1200,)
+
+
 def test_skew_diagram_validation():
     with pytest.raises(ShapeError):
         SkewDiagram((2,), (3,))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -252,6 +253,10 @@ class TestEnumerateStandard:
         assert enumerate_standard((2, 1)) == 2
         assert enumerate_standard((2, 2)) == 2
         assert enumerate_standard((3, 2)) == 5
+
+    def test_large_shapes(self):
+        assert enumerate_standard((1200,)) == 1
+        assert enumerate_standard((30, 30)) == math.comb(60, 30) // 31  # the 30th Catalan number
 
     def test_matches_hook_lengths(self):
         for n in range(7):
