@@ -307,7 +307,11 @@ def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path):
 def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
     """Survey symmetry over all arrays with at most MAX_COLS columns."""
     alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(out_path, hint=exc.strerror) from exc
+    with fh:
         def sink(record):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

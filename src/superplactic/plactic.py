@@ -24,6 +24,7 @@ class of a word remembers its shape.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bumping import tableau_of_word
@@ -66,21 +67,26 @@ def _k2_sides(x: int, y: int, z: int, row_next: tuple[int, ...], col_next: tuple
     return y >= col_next[x] and z >= row_next[y]
 
 
-def knuth_neighbors(word: Word) -> set[Word]:
-    """Words reachable from this one by a single elementary move."""
-    rn = word.alphabet.row_next
-    cn = word.alphabet.col_next
-    xs = word.letters
-    out: set[Word] = set()
+def _knuth_moves(xs: tuple[int, ...], row_next: tuple[int, ...],
+                 col_next: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Letter tuples reachable from xs by a single elementary move."""
+    out: set[tuple[int, ...]] = set()
     for p in range(len(xs) - 2):
         a, b, c = xs[p], xs[p + 1], xs[p + 2]
         # window reads xzy (swap gives zxy) or zxy (swap gives xzy)
-        if _k1_sides(a, c, b, rn, cn) or _k1_sides(b, c, a, rn, cn):
-            out.add(Word.from_indices(word.alphabet, xs[:p] + (b, a, c) + xs[p + 3:]))
+        if _k1_sides(a, c, b, row_next, col_next) or _k1_sides(b, c, a, row_next, col_next):
+            out.add(xs[:p] + (b, a, c) + xs[p + 3:])
         # window reads yxz (swap gives yzx) or yzx (swap gives yxz)
-        if _k2_sides(b, a, c, rn, cn) or _k2_sides(c, a, b, rn, cn):
-            out.add(Word.from_indices(word.alphabet, xs[:p] + (a, c, b) + xs[p + 3:]))
+        if _k2_sides(b, a, c, row_next, col_next) or _k2_sides(c, a, b, row_next, col_next):
+            out.add(xs[:p] + (a, c, b) + xs[p + 3:])
     return out
+
+
+def knuth_neighbors(word: Word) -> set[Word]:
+    """Words reachable from this one by a single elementary move."""
+    alphabet = word.alphabet
+    moves = _knuth_moves(word.letters, alphabet.row_next, alphabet.col_next)
+    return {Word.from_indices(alphabet, xs) for xs in moves}
 
 
 def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
@@ -98,12 +104,15 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
         )
     if max_states is None:
         max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
-    seen = {word}
-    frontier = [word]
+    alphabet = word.alphabet
+    rn = alphabet.row_next
+    cn = alphabet.col_next
+    seen = {word.letters}
+    frontier = [word.letters]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in knuth_neighbors(u):
+            for v in _knuth_moves(u, rn, cn):
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > max_states:
@@ -112,7 +121,7 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
                         )
                     nxt.append(v)
         frontier = nxt
-    return seen
+    return {Word.from_indices(alphabet, xs) for xs in seen}
 
 
 def canonical_word(word: Word) -> Word:
@@ -145,37 +154,49 @@ class PlacticClass:
 def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]:
     """Exact Greene invariants (l_1, ..., l_max_k) in one sweep.
 
-    Dynamic program over the letters: a state is the multiset of final
-    letters of the disjoint subwords built so far, and each new letter may
-    be skipped, appended to a compatible subword, or start a new one.  This
-    searches every family of at most max_k disjoint row (or column) words
-    without enumerating the families one by one.
+    Dynamic program over the letters: a state is the sorted tuple of final
+    letters of the disjoint subwords built so far, and each new letter x may
+    be skipped, start a new subword, or extend one subword.  This searches
+    every family of at most max_k disjoint row (or column) words without
+    enumerating the families one by one.
+
+    Only one extension per state is tried, because it dominates the others.
+    A row word ending at e accepts x exactly when e < col_next[x], so the
+    ends x can extend form a down-set of the sorted tuple, and a smaller end
+    accepts every later letter a larger one accepts.  Replacing the largest
+    such end leaves ends that are, rank by rank, no larger than any other
+    choice leaves.  A state that is pointwise no larger than another, with
+    as many ends and at least the same total, can follow each of its moves
+    (skip, new subword, extend the end of the same rank) and stay pointwise
+    no larger, so the dominated choices never give a larger l_k.  Column
+    words are the mirror image: a column word ending at e accepts x exactly
+    when e >= col_next[x], larger ends accept more, and the smallest such
+    end is replaced.  In both modes x fits between its neighbours at the
+    replaced rank, so the successor is sorted without a sort.
     """
     if mode not in ("row", "col"):
         raise ValueError("mode must be 'row' or 'col'")
+    if max_k < 0:
+        raise ValueError("max_k must be at least 0")
     col_next = word.alphabet.col_next
-    column = mode == "col"
+    # row mode replaces the end just below the bound, column mode the one at it
+    shift = 1 if mode == "row" else 0
     states: dict[tuple[int, ...], int] = {(): 0}
     for x in word.letters:
         new = dict(states)
-        # x extends a row word ending at e exactly when e < col_next[x]
-        # (the tables' duality), and a column word exactly when not.
         bound = col_next[x]
         for chains, total in states.items():
             nt = total + 1
             if len(chains) < max_k:
-                key = tuple(sorted(chains + (x,)))
+                j = bisect_left(chains, x)
+                key = chains[:j] + (x,) + chains[j:]
                 if new.get(key, -1) < nt:
                     new[key] = nt
-            tried: set[int] = set()
-            for ci, e in enumerate(chains):
-                if e in tried:
-                    continue
-                tried.add(e)
-                if (e >= bound) == column:
-                    key = tuple(sorted(chains[:ci] + chains[ci + 1:] + (x,)))
-                    if new.get(key, -1) < nt:
-                        new[key] = nt
+            i = bisect_left(chains, bound) - shift
+            if 0 <= i < len(chains):
+                key = chains[:i] + (x,) + chains[i + 1:]
+                if new.get(key, -1) < nt:
+                    new[key] = nt
         states = new
     best = [0] * (max_k + 1)
     for chains, total in states.items():

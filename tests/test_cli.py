@@ -419,6 +419,15 @@ class TestExitCodes:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_probe_out_in_missing_directory_exit_one(self, files, capsys):
+        out = files["dir"] / "no" / "such" / "records.jsonl"
+        args = ["probe", "--alphabet-l", files["mixed2"], "--alphabet-p", files["mixed2"], "--max-cols", "1",
+                "--out", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (1, "")
+        assert "Could not open file" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("blob", [{"rows": [1, 2]}, {"rows": [["1"]], "shape": 1}])
     def test_malformed_tableau_json_exit_one(self, files, capsys, blob):
         bad = files["dir"] / "rows.json"

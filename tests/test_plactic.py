@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from superplactic import (
 )
 from superplactic.plactic import MAX_STATES_ENV
 
-from oracles import classical_knuth_neighbors, greene_family_max
+from oracles import all_signatures, classical_knuth_neighbors, greene_family_max
 
 
 def all_words(alphabet, max_len, min_len=0):
@@ -110,6 +111,18 @@ class TestClasses:
             for v in plactic_class(w):
                 assert tableau_of_word(v) == t
 
+    def test_closure_of_public_neighbors(self):
+        for sig in all_signatures(3):
+            alphabet = make_alphabet(["1", "2", "3"], list(sig))
+            for symbols in ("3121", "23121", "321321", "213312"):
+                w = Word(alphabet, symbols)
+                closure = {w}
+                frontier = [w]
+                while frontier:
+                    frontier = [v for u in frontier for v in knuth_neighbors(u) if v not in closure]
+                    closure.update(frontier)
+                assert plactic_class(w) == closure, (sig, symbols)
+
     def test_length_bound(self, evens2):
         with pytest.raises(BoundExceededError):
             plactic_class(Word(evens2, ["1"] * 10))
@@ -180,6 +193,14 @@ class TestGreene:
             assert all(a <= b for a, b in zip(prof, prof[1:]))
             assert prof[-1] <= len(w)
 
+    def test_max_k_zero_and_negative(self, mixed4):
+        w = Word(mixed4, ["2", "1", "3"])
+        assert greene_profile(w, 0) == ()
+        assert greene_profile(Word(mixed4), 0, "col") == ()
+        for mode in ("row", "col"):
+            with pytest.raises(ValueError, match="max_k must be at least 0"):
+                greene_profile(w, -1, mode)
+
     def test_bad_mode(self, mixed4):
         with pytest.raises(ValueError):
             greene_profile(Word(mixed4, ["1"]), 1, "diag")
@@ -195,6 +216,15 @@ class TestGreene:
             for k in (1, 2):
                 assert greene_row(w, k) == greene_family_max(w, k, "row")
                 assert greene_col(w, k) == greene_family_max(w, k, "col")
+
+    def test_matches_family_search_every_signature(self):
+        for size in (1, 2, 3):
+            for sig in all_signatures(size):
+                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                for w in all_words(alphabet, 5):
+                    for k in (1, 2, 3):
+                        assert greene_row(w, k) == greene_family_max(w, k, "row"), (sig, w, k)
+                        assert greene_col(w, k) == greene_family_max(w, k, "col"), (sig, w, k)
 
     def test_via_shape_agrees(self, mixed4):
         for w in all_words(mixed4, 4):
@@ -231,6 +261,19 @@ def test_greene_equals_shape_sums_random(word):
     for k in (1, 2, 3):
         assert greene_row(word, k) == sum(lam[:k])
         assert greene_col(word, k) == sum(conj[:k])
+
+
+def test_greene_profile_equals_shape_sums_long_words():
+    rng = random.Random(2009)
+    for _ in range(60):
+        size = rng.randint(2, 6)
+        alphabet = make_alphabet([str(i + 1) for i in range(size)], [rng.randint(0, 1) for _ in range(size)])
+        w = Word.from_indices(alphabet, [rng.randrange(size) for _ in range(rng.randint(20, 80))])
+        lam = tableau_of_word(w).shape
+        conj = conjugate_partition(lam)
+        k = rng.randint(1, 4)
+        assert greene_profile(w, k, "row") == tuple(sum(lam[:j]) for j in range(1, k + 1)), w
+        assert greene_profile(w, k, "col") == tuple(sum(conj[:j]) for j in range(1, k + 1)), w
 
 
 @given(small_word())

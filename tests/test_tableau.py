@@ -240,6 +240,20 @@ class TestEnumerate:
     def test_empty_shape(self, mixed4):
         assert [t.shape for t in enumerate_tableaux((), mixed4)] == [()]
 
+    def test_nonempty_exactly_inside_the_hook(self):
+        # Berele and Regev, Adv. Math. 64 (1987): with m parity-0 and n
+        # parity-1 letters, in any order, a shape has a tableau exactly when
+        # lambda_{m+1} <= n.
+        for size in range(1, 5):
+            for sig in all_signatures(size):
+                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                m = sig.count(0)
+                n = size - m
+                for cells in range(8):
+                    for lam in partitions(cells):
+                        inside = (lam[m] if m < len(lam) else 0) <= n
+                        assert (next(enumerate_tableaux(lam, alphabet), None) is not None) == inside, (sig, lam)
+
     def test_long_row_stays_off_the_recursion_limit(self):
         e = make_alphabet(["1"], [0])
         assert [t.shape for t in enumerate_tableaux((1200,), e)] == [(1200,)]
