@@ -27,14 +27,25 @@ b >= row_next[a] exactly when a < col_next[b].
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 from .errors import AlphabetError, ForeignLetterError
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SignedAlphabet:
-    """An immutable ordered alphabet with a parity attached to every letter."""
+    """An immutable ordered alphabet with a parity attached to every letter.
 
-    __slots__ = ("letters", "parities", "row_next", "col_next", "_index", "_hash")
+    Alphabets compare by letters and parities; the other fields derive from
+    them.  The hash is cached, as every word, tableau and array hash uses it.
+    """
+
+    letters: tuple[str, ...]
+    parities: tuple[int, ...]
+    row_next: tuple[int, ...] = field(compare=False)
+    col_next: tuple[int, ...] = field(compare=False)
+    _index: dict[str, int] = field(compare=False)
+    _hash: int = field(compare=False)
 
     def __init__(self, letters: Iterable[str], parities: Iterable[int]):
         letters = tuple(letters)
@@ -63,16 +74,8 @@ class SignedAlphabet:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash((letters, parities)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedAlphabet is immutable")
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedAlphabet):
-            return NotImplemented
-        return self.letters == other.letters and self.parities == other.parities
 
     def __hash__(self) -> int:
         return self._hash

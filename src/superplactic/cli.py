@@ -28,6 +28,7 @@ from .bumping import (
 )
 from .errors import HypothesisError, SuperplacticError
 from .plactic import (
+    DEFAULT_MAX_WORD_LEN,
     canonical_word,
     greene_col,
     greene_row,
@@ -230,7 +231,8 @@ def normal_form_cmd(word, alphabet_path):
 @_word_option
 @click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
               help="Print at most this many members.")
-@click.option("--max-len", default=9, show_default=True, help="Word length bound for the search.")
+@click.option("--max-len", default=DEFAULT_MAX_WORD_LEN, show_default=True,
+              help="Word length bound for the search.")
 @_alphabet_option
 def class_cmd(word, limit, max_len, alphabet_path):
     """Congruence class of a word: size, canonical form, members.

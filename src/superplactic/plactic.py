@@ -103,7 +103,14 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
             "word of length %d exceeds the class search bound %d" % (len(word), max_len)
         )
     if max_states is None:
-        max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
+        setting = os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
+        try:
+            max_states = int(setting)
+        except ValueError:
+            max_states = 0
+        if max_states < 1:
+            raise BoundExceededError("%s must be an integer of at least 1, got %r"
+                                     % (MAX_STATES_ENV, setting))
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
-from .bumping import tableau_of_word
+from .bumping import row_insert_word
 from .errors import AlphabetMismatchError, BoundExceededError
 from .shape import (
     SkewDiagram,
@@ -29,14 +29,15 @@ from .tableau import Tableau, enumerate_tableaux, word_of
 DEFAULT_MAX_PIERI_CELLS = 12
 
 
-def _term_key(tableau: Tableau):
-    return (tableau.shape, tableau.rows)
+@dataclass(frozen=True, slots=True, init=False)
+class FormalSum:
+    """A finite integer combination of tableaux over one alphabet.
 
+    Sums compare by content and are unhashable: the dict of terms is.
+    """
 
-class FormalSum(object):
-    """A finite integer combination of tableaux over one alphabet."""
-
-    __slots__ = ("alphabet", "_terms")
+    alphabet: SignedAlphabet
+    _terms: dict[Tableau, int]
 
     def __init__(self, alphabet: SignedAlphabet, terms: Iterable[tuple[Tableau, int]] = ()):
         acc: dict[Tableau, int] = {}
@@ -51,12 +52,9 @@ class FormalSum(object):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_terms", acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSum is immutable")
-
     def terms(self) -> tuple[tuple[Tableau, int], ...]:
         """Terms sorted by shape and row content, for deterministic output."""
-        return tuple(sorted(self._terms.items(), key=lambda tc: _term_key(tc[0])))
+        return tuple(sorted(self._terms.items(), key=lambda tc: (tc[0].shape, tc[0].rows)))
 
     def coefficient(self, tableau: Tableau) -> int:
         return self._terms.get(tableau, 0)
@@ -66,11 +64,6 @@ class FormalSum(object):
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalSum):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
@@ -117,17 +110,14 @@ def s_col(p: int, alphabet: SignedAlphabet) -> FormalSum:
 
 def ring_product(f: FormalSum, g: FormalSum) -> FormalSum:
     """Bilinear product: on tableaux, the tableau of the concatenated
-    reading words."""
+    reading words, which is the left tableau with the right one's reading
+    word row inserted."""
     if f.alphabet != g.alphabet:
         raise AlphabetMismatchError("sums live over different alphabets")
-    alphabet = f.alphabet
-    gw = [(word_of(t), c) for t, c in g.terms()]
-    out: list[tuple[Tableau, int]] = []
-    for t, c in f.terms():
-        wt = word_of(t)
-        for wu, d in gw:
-            out.append((tableau_of_word(wt + wu), c * d))
-    return FormalSum(alphabet, out)
+    gw = [(word_of(u), d) for u, d in g._terms.items()]
+    return FormalSum(f.alphabet, [
+        (row_insert_word(t, wu), c * d) for t, c in f._terms.items() for wu, d in gw
+    ])
 
 
 @dataclass(frozen=True)
@@ -182,9 +172,9 @@ def pieri_check(
         for t in enumerate_tableaux(mu, alphabet)
     ])
     shapes: dict[tuple[int, ...], list[int]] = {}
-    for t, c in left.terms():
+    for t, c in left._terms.items():
         shapes.setdefault(t.shape, [0, 0])[0] += c
-    for t, c in right.terms():
+    for t, c in right._terms.items():
         shapes.setdefault(t.shape, [0, 0])[1] += c
     by_shape = tuple(
         (shp, counts[0], counts[1]) for shp, counts in sorted(shapes.items())

@@ -49,14 +49,17 @@ from .shape import as_partition
 from .tableau import Tableau, Word, _check_index_rows, enumerate_standard
 
 
-class TwoRowedArray(object):
+@dataclass(frozen=True, slots=True, init=False)
+class TwoRowedArray:
     """A two-rowed array; `pairs` holds (top, bottom) letter index pairs.
 
     The constructor trusts its input; use `validate_array` to build one
     from symbols with full checking.
     """
 
-    __slots__ = ("top_alphabet", "bottom_alphabet", "pairs", "_hash")
+    top_alphabet: SignedAlphabet
+    bottom_alphabet: SignedAlphabet
+    pairs: tuple[tuple[int, int], ...]
 
     def __init__(
         self,
@@ -68,10 +71,6 @@ class TwoRowedArray(object):
         object.__setattr__(self, "top_alphabet", top_alphabet)
         object.__setattr__(self, "bottom_alphabet", bottom_alphabet)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash((top_alphabet, bottom_alphabet, pairs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoRowedArray is immutable")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -88,18 +87,6 @@ class TwoRowedArray(object):
         pl = self.top_alphabet.parities
         pp = self.bottom_alphabet.parities
         return tuple((pl[a] + pp[b]) % 2 for a, b in self.pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoRowedArray):
-            return NotImplemented
-        return (
-            self.top_alphabet == other.top_alphabet
-            and self.bottom_alphabet == other.bottom_alphabet
-            and self.pairs == other.pairs
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join("(%s,%s)" % (a, b) for a, b in zip(self.top_symbols, self.bottom_symbols))
@@ -227,7 +214,7 @@ def class_size(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN) -> int:
 def array_involution(array: TwoRowedArray) -> TwoRowedArray:
     """Swap the two rows of every column and re-sort into the product order
     over the swapped alphabet pair."""
-    swapped = sorted(((b, a) for a, b in array.pairs), key=lambda ba: (ba[1], ba[0]))
+    swapped = [(b, a) for a, b in sorted(array.pairs)]
     return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, swapped)
 
 

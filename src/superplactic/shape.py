@@ -8,6 +8,7 @@ both coordinates starting at 1, matrix style.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 from .errors import ShapeError
 
@@ -81,29 +82,20 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
         rest += parts.pop()
 
 
+@dataclass(frozen=True, slots=True)
 class SkewDiagram:
     """A pair of nested partitions outer/inner, holding the cells in between."""
 
-    __slots__ = ("outer", "inner")
+    outer: Partition
+    inner: Partition
 
-    def __init__(self, outer: Iterable[int], inner: Iterable[int]):
-        outer = as_partition(outer)
-        inner = as_partition(inner)
+    def __post_init__(self):
+        outer = as_partition(self.outer)
+        inner = as_partition(self.inner)
         if not contains(outer, inner):
             raise ShapeError("inner shape %r is not contained in outer shape %r" % (inner, outer))
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewDiagram is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewDiagram):
-            return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
 
     def __repr__(self) -> str:
         return "SkewDiagram(%r, %r)" % (self.outer, self.inner)

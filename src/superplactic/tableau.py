@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet, conjugate_alphabet
 from .errors import (
@@ -32,7 +33,8 @@ from .errors import (
 from .shape import Partition, as_partition, conjugate_partition, contains
 
 
-class Word(object):
+@dataclass(frozen=True, slots=True, init=False)
+class Word:
     """A finite word over a signed alphabet.
 
     `letters` is the tuple of letter indices; `symbols` translates back to
@@ -40,12 +42,12 @@ class Word(object):
     or from indices with `Word.from_indices`.
     """
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    alphabet: SignedAlphabet
+    letters: tuple[int, ...]
 
     def __init__(self, alphabet: SignedAlphabet, symbols: Iterable[str] = ()):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", alphabet.to_indices(symbols))
-        object.__setattr__(self, "_hash", hash((alphabet, self.letters)))
 
     @classmethod
     def from_indices(cls, alphabet: SignedAlphabet, indices: Iterable[int]) -> "Word":
@@ -57,11 +59,7 @@ class Word(object):
         w = cls.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "letters", indices)
-        object.__setattr__(w, "_hash", hash((alphabet, indices)))
         return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -69,14 +67,6 @@ class Word(object):
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -89,7 +79,8 @@ class Word(object):
         return "Word(%s)" % " ".join(self.symbols)
 
 
-class Tableau(object):
+@dataclass(frozen=True, slots=True, init=False)
+class Tableau:
     """A super semistandard tableau of straight shape.
 
     The constructor is a trusted low-level entry point: `rows` must be rows
@@ -98,7 +89,8 @@ class Tableau(object):
     checking.
     """
 
-    __slots__ = ("alphabet", "rows", "_hash")
+    alphabet: SignedAlphabet
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, alphabet: SignedAlphabet, rows: Iterable[Iterable[int]] = ()):
         # Exact-size tuple([...]) rather than tuple(<genexpr>): on CPython a
@@ -107,14 +99,10 @@ class Tableau(object):
         rows = tuple([tuple(r) for r in rows])
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((alphabet, rows)))
 
     @classmethod
     def empty(cls, alphabet: SignedAlphabet) -> "Tableau":
         return cls(alphabet, ())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
 
     @property
     def shape(self) -> Partition:
@@ -126,19 +114,12 @@ class Tableau(object):
     def symbol_rows(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.alphabet.to_symbols(r) for r in self.rows)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return "Tableau(%s)" % " | ".join(" ".join(r) for r in self.symbol_rows())
 
 
-class SkewTableau(object):
+@dataclass(frozen=True, slots=True)
+class SkewTableau:
     """A super semistandard filling of a skew shape outer/inner.
 
     Row i of `rows` holds the entries of the cells strictly right of the
@@ -147,20 +128,17 @@ class SkewTableau(object):
     the cells present.
     """
 
-    __slots__ = ("alphabet", "outer", "inner", "rows", "_hash")
+    alphabet: SignedAlphabet
+    outer: Partition
+    inner: Partition
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(
-        self,
-        alphabet: SignedAlphabet,
-        outer: Iterable[int],
-        inner: Iterable[int],
-        rows: Iterable[Iterable[int]],
-    ):
-        outer = as_partition(outer)
-        inner = as_partition(inner)
+    def __post_init__(self):
+        outer = as_partition(self.outer)
+        inner = as_partition(self.inner)
         if not contains(outer, inner):
             raise ShapeError("inner shape %r not contained in outer shape %r" % (inner, outer))
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(r) for r in self.rows)
         if len(rows) != len(outer):
             raise ShapeError("expected %d rows, got %d" % (len(outer), len(rows)))
         pad_inner = inner + (0,) * (len(outer) - len(inner))
@@ -169,34 +147,16 @@ class SkewTableau(object):
                 raise ShapeError(
                     "row %d has %d entries, expected %d" % (i + 1, len(row), outer[i] - pad_inner[i])
                 )
-        _check_cells(rows, pad_inner, alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
+        _check_cells(rows, pad_inner, self.alphabet)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((alphabet, outer, inner, rows)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewTableau is immutable")
 
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
     def symbol_rows(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.alphabet.to_symbols(r) for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewTableau):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.outer == other.outer
-            and self.inner == other.inner
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "SkewTableau(%r/%r: %s)" % (
@@ -370,13 +330,12 @@ def enumerate_standard(lam: Iterable[int]) -> int:
 
 def pretty(tableau: Tableau | SkewTableau) -> str:
     """Plain text rendering, one row per line, columns aligned."""
+    sym_rows = tableau.symbol_rows()
     if isinstance(tableau, SkewTableau):
-        sym_rows = tableau.symbol_rows()
         inner = tableau.inner + (0,) * (len(tableau.outer) - len(tableau.inner))
         offsets = list(inner)
         ncols = tableau.outer[0] if tableau.outer else 0
     else:
-        sym_rows = tableau.symbol_rows()
         offsets = [0] * len(sym_rows)
         ncols = len(tableau.rows[0]) if tableau.rows else 0
     if not sym_rows or ncols == 0:

@@ -228,9 +228,12 @@ class TestWordBuild:
     def test_empty_word(self, mixed4):
         assert tableau_of_word(Word(mixed4)) == Tableau.empty(mixed4)
 
-    def test_reading_word_fixed_point(self, mixed4):
-        for t in small_tableaux(mixed4, 5):
-            assert tableau_of_word(word_of(t)) == t
+    def test_reading_word_fixed_point(self):
+        for k in range(1, 5):
+            for sig in all_signatures(k):
+                alphabet = make_alphabet([str(i + 1) for i in range(k)], sig)
+                for t in small_tableaux(alphabet, 5):
+                    assert tableau_of_word(word_of(t)) == t, (sig, t)
 
     def test_insert_word_concatenates(self, mixed4):
         u = Word(mixed4, ["2", "1", "3"])

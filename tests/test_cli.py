@@ -428,6 +428,15 @@ class TestExitCodes:
         assert "Could not open file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ["abc", "0"])
+    def test_bad_state_bound_setting_exit_one(self, files, capsys, monkeypatch, setting):
+        monkeypatch.setenv("SUPERPLACTIC_MAX_STATES", setting)
+        code, stdout, err = run_cli(["class", "--word", "2,1,2", "--alphabet", files["mixed4"]], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("BoundExceededError:")
+        assert "SUPERPLACTIC_MAX_STATES" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("blob", [{"rows": [1, 2]}, {"rows": [["1"]], "shape": 1}])
     def test_malformed_tableau_json_exit_one(self, files, capsys, blob):
         bad = files["dir"] / "rows.json"

@@ -139,6 +139,12 @@ class TestClasses:
         monkeypatch.setenv(MAX_STATES_ENV, "1000")
         assert len(plactic_class(Word(evens2, ["1", "2", "1"]))) == 2
 
+    @pytest.mark.parametrize("setting", ["abc", "", "1.5", "0", "-3"])
+    def test_bad_state_bound_in_environment(self, evens2, monkeypatch, setting):
+        monkeypatch.setenv(MAX_STATES_ENV, setting)
+        with pytest.raises(BoundExceededError, match=MAX_STATES_ENV):
+            plactic_class(Word(evens2, ["1", "2", "1"]))
+
 
 class TestCanonical:
     def test_reading_word_of_tableau(self, mixed4):
