@@ -44,7 +44,18 @@ class CornerError(SuperplacticError):
 
 
 class BoundExceededError(SuperplacticError):
-    """A desk-scale size bound was exceeded; raise the bound explicitly to proceed."""
+    """A desk-scale size bound was exceeded; raise the bound explicitly to proceed.
+
+    Attributes say what was seen (`observed`), the bound it broke (`limit`)
+    and the name of the argument or environment variable that raises the
+    bound (`setting`).
+    """
+
+    def __init__(self, message, observed=None, limit=None, setting=None):
+        super().__init__(message)
+        self.observed = observed
+        self.limit = limit
+        self.setting = setting
 
 
 class HypothesisError(SuperplacticError):

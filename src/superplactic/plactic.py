@@ -100,17 +100,21 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     """
     if len(word) > max_len:
         raise BoundExceededError(
-            "word of length %d exceeds the class search bound %d" % (len(word), max_len)
+            "word of length %d exceeds the class search bound %d" % (len(word), max_len),
+            observed=len(word), limit=max_len, setting="max_len",
         )
+    states_setting = "max_states"
     if max_states is None:
-        setting = os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
+        states_setting = MAX_STATES_ENV
+        value = os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
         try:
-            max_states = int(setting)
+            max_states = int(value)
         except ValueError:
             max_states = 0
         if max_states < 1:
             raise BoundExceededError("%s must be an integer of at least 1, got %r"
-                                     % (MAX_STATES_ENV, setting))
+                                     % (MAX_STATES_ENV, value),
+                                     observed=value, limit=1, setting=MAX_STATES_ENV)
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next
@@ -124,7 +128,8 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
                     seen.add(v)
                     if len(seen) > max_states:
                         raise BoundExceededError(
-                            "class search exceeded %d states" % max_states
+                            "class search exceeded %d states" % max_states,
+                            observed=len(seen), limit=max_states, setting=states_setting,
                         )
                     nxt.append(v)
         frontier = nxt
@@ -161,15 +166,17 @@ class PlacticClass:
 def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]:
     """Exact Greene invariants (l_1, ..., l_max_k) in one sweep.
 
-    Dynamic program over the letters: a state is the sorted tuple of final
+    Dynamic program over the letters: a state is the multiset of final
     letters of the disjoint subwords built so far, and each new letter x may
     be skipped, start a new subword, or extend one subword.  This searches
     every family of at most max_k disjoint row (or column) words without
-    enumerating the families one by one.
+    enumerating the families one by one.  A word of length L has l_k = l_L
+    for every k >= L, so the sweep stops at k_eff = min(max_k, L) subwords
+    and the profile is padded with its last value.
 
     Only one extension per state is tried, because it dominates the others.
     A row word ending at e accepts x exactly when e < col_next[x], so the
-    ends x can extend form a down-set of the sorted tuple, and a smaller end
+    ends x can extend form a down-set of the sorted ends, and a smaller end
     accepts every later letter a larger one accepts.  Replacing the largest
     such end leaves ends that are, rank by rank, no larger than any other
     choice leaves.  A state that is pointwise no larger than another, with
@@ -178,44 +185,64 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     no larger, so the dominated choices never give a larger l_k.  Column
     words are the mirror image: a column word ending at e accepts x exactly
     when e >= col_next[x], larger ends accept more, and the smallest such
-    end is replaced.  In both modes x fits between its neighbours at the
-    replaced rank, so the successor is sorted without a sort.
+    end is replaced.
+
+    A state is packed into one int.  Each of the n distinct letters of the
+    word owns a field of w = k_eff.bit_length() bits that counts the
+    subwords ending at it (never more than k_eff, so the field cannot
+    overflow), and the number of subwords sits in the bits above every
+    field.  In row mode the r-th smallest letter owns field r;
+    in column mode the order is reversed and it owns field n - 1 - r.
+    Either way the ends that x can extend fill the fields below one limit,
+    and the end to replace is the one that holds the highest set bit below
+    that limit, so one bit_length finds it.
     """
     if mode not in ("row", "col"):
         raise ValueError("mode must be 'row' or 'col'")
     if max_k < 0:
         raise ValueError("max_k must be at least 0")
     col_next = word.alphabet.col_next
-    # row mode replaces the end just below the bound, column mode the one at it
-    shift = 1 if mode == "row" else 0
-    states: dict[tuple[int, ...], int] = {(): 0}
+    present = sorted(set(word.letters))
+    n = len(present)
+    k_eff = min(max_k, len(word))
+    w = k_eff.bit_length()
+    top = n * w
+    unit = [1 << (f * w) for f in range(n + 1)]  # unit[n] counts one subword
+    owner = [unit[i // w] for i in range(top)]  # the unit of the field holding bit i
+    # per letter: its own unit, a new subword ending at it, and the fields it can extend
+    steps = {}
+    for r, x in enumerate(present):
+        j = bisect_left(present, col_next[x])  # the present letters below col_next[x]
+        f, limit = (r, j) if mode == "row" else (n - 1 - r, n - j)
+        steps[x] = (unit[f], unit[n] + unit[f], unit[limit] - 1)
+    cap = k_eff << top
+    states = {0: 0}
     for x in word.letters:
+        ux, grow, below = steps[x]
         new = dict(states)
-        bound = col_next[x]
-        for chains, total in states.items():
+        for s, total in states.items():
             nt = total + 1
-            if len(chains) < max_k:
-                j = bisect_left(chains, x)
-                key = chains[:j] + (x,) + chains[j:]
+            if s < cap:
+                key = s + grow
                 if new.get(key, -1) < nt:
                     new[key] = nt
-            i = bisect_left(chains, bound) - shift
-            if 0 <= i < len(chains):
-                key = chains[:i] + (x,) + chains[i + 1:]
+            m = (s & below).bit_length()
+            if m:
+                key = s - owner[m - 1] + ux
                 if new.get(key, -1) < nt:
                     new[key] = nt
         states = new
-    best = [0] * (max_k + 1)
-    for chains, total in states.items():
-        k = len(chains)
+    best = [0] * (k_eff + 1)
+    for s, total in states.items():
+        k = s >> top
         if total > best[k]:
             best[k] = total
     out = []
     run = 0
-    for k in range(1, max_k + 1):
+    for k in range(1, k_eff + 1):
         run = max(run, best[k])
         out.append(run)
-    return tuple(out)
+    return tuple(out) + (run,) * (max_k - k_eff)
 
 
 def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
@@ -226,9 +253,11 @@ def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
     bound = (10 if k <= 3 else 8) if max_len is None else max_len
     if len(word) > bound:
         raise BoundExceededError(
-            "word of length %d exceeds the Greene search bound %d" % (len(word), bound)
+            "word of length %d exceeds the Greene search bound %d" % (len(word), bound),
+            observed=len(word), limit=bound, setting="max_len",
         )
-    return greene_profile(word, k, mode)[k - 1]
+    # l_k = l_L for k >= L = len(word), so a huge k costs no more than k = L
+    return greene_profile(word, min(k, len(word) or 1), mode)[-1]
 
 
 def greene_row(word: Word, k: int, max_len: int | None = None) -> int:

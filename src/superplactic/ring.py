@@ -158,7 +158,8 @@ def pieri_check(
     n = sum(lam) + p
     if n > max_cells:
         raise BoundExceededError(
-            "total size %d exceeds the Pieri bound %d" % (n, max_cells)
+            "total size %d exceeds the Pieri bound %d" % (n, max_cells),
+            observed=n, limit=max_cells, setting="max_cells",
         )
     left = ring_product(
         s_lambda(lam, alphabet),

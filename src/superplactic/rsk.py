@@ -206,7 +206,8 @@ def class_size(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN) -> int:
     of the shape of its tableau."""
     if len(word) > max_len:
         raise BoundExceededError(
-            "word of length %d exceeds the class size bound %d" % (len(word), max_len)
+            "word of length %d exceeds the class size bound %d" % (len(word), max_len),
+            observed=len(word), limit=max_len, setting="max_len",
         )
     return enumerate_standard(tableau_of_word(word).shape)
 
@@ -379,7 +380,9 @@ def symmetry_probe(
     for array in enumerate_arrays(top_alphabet, bottom_alphabet, max_cols):
         report.total += 1
         if report.total > max_arrays:
-            raise BoundExceededError("probe exceeded %d arrays" % max_arrays)
+            raise BoundExceededError("probe exceeded %d arrays" % max_arrays,
+                                     observed=report.total, limit=max_arrays,
+                                     setting="max_arrays")
         hyp = aligned and all(p == 0 for p in array.pair_parities())
         sym = has_symmetry(array)
         key = (hyp, sym)

@@ -105,6 +105,14 @@ class TestWordCommands:
         assert code == 0
         assert json.loads(out) == {"k": 2, "mode": "col", "value": 3}
 
+    @pytest.mark.parametrize("mode", ["row", "col"])
+    def test_greene_k_past_word_length(self, files, capsys, mode):
+        code, out, _ = run_cli(
+            ["greene", "--word", "2,1,3", "--k", "1000000000", "--mode", mode, "--alphabet", files["mixed4"]],
+            capsys,
+        )
+        assert (code, out) == (0, "%s invariant k=1000000000: 3\n" % mode)
+
 
 class TestTableauCommands:
     def test_insert_reports_paths(self, files, capsys):

@@ -193,6 +193,29 @@ class TestGreene:
         assert greene_row(Word(evens2, ["1"] * 9), 3) == 9
         assert greene_row(Word(evens2, ["1"] * 11), 1, max_len=11) == 11
 
+    def test_huge_k_gives_word_length(self, mixed4):
+        w = Word(mixed4, ["2", "1", "3", "3"])
+        assert greene_row(w, 10**9) == 4
+        assert greene_col(w, 10**9) == 4
+        assert greene_row(Word(mixed4), 10**9) == 0
+        assert greene_col(Word(mixed4), 10**9) == 0
+
+    def test_profile_past_word_length_repeats_l_n(self, table_word):
+        assert greene_profile(table_word, 10, "row") == (5, 7, 7, 7, 7, 7, 7, 7, 7, 7)
+        assert greene_profile(table_word, 10, "col") == (2, 4, 5, 6, 7, 7, 7, 7, 7, 7)
+        assert greene_profile(Word(table_word.alphabet), 3, "col") == (0, 0, 0)
+
+    @pytest.mark.parametrize("max_k", [1, 2, 3, 4, 7, 8])
+    def test_one_letter_fills_its_field(self, max_k):
+        # max_k copies of a letter that no subword may repeat need max_k
+        # subwords all ending at it: the fullest one letter's count can get
+        for sig in all_signatures(3):
+            alphabet = make_alphabet(["1", "2", "3"], list(sig))
+            for x, parity in enumerate(sig):
+                w = Word.from_indices(alphabet, [x] * max_k)
+                mode = "row" if parity == 1 else "col"
+                assert greene_profile(w, max_k, mode) == tuple(range(1, max_k + 1)), (sig, x)
+
     def test_profile_weakly_increasing_and_capped(self, mixed4):
         for w in all_words(mixed4, 4):
             prof = greene_profile(w, 4, "row")
@@ -278,6 +301,23 @@ def test_greene_profile_equals_shape_sums_long_words():
         lam = tableau_of_word(w).shape
         conj = conjugate_partition(lam)
         k = rng.randint(1, 4)
+        assert greene_profile(w, k, "row") == tuple(sum(lam[:j]) for j in range(1, k + 1)), w
+        assert greene_profile(w, k, "col") == tuple(sum(conj[:j]) for j in range(1, k + 1)), w
+
+
+def test_greene_profile_equals_shape_sums_large_alphabets():
+    """Words of 20-40 letters over alphabets of 20-40 letters, one per k in
+    1..8, so letter fields sit high in the packed DP state.  The DP keeps
+    many more states as k grows, so the words for k >= 5 stay near 20
+    letters to keep this under a second."""
+    rng = random.Random(4040)
+    for k in range(1, 9):
+        size = rng.randint(20, 40)
+        alphabet = make_alphabet([str(i + 1) for i in range(size)], [rng.randint(0, 1) for _ in range(size)])
+        length = rng.randint(20, 40 if k <= 4 else 28 - k)
+        w = Word.from_indices(alphabet, [rng.randrange(size) for _ in range(length)])
+        lam = tableau_of_word(w).shape
+        conj = conjugate_partition(lam)
         assert greene_profile(w, k, "row") == tuple(sum(lam[:j]) for j in range(1, k + 1)), w
         assert greene_profile(w, k, "col") == tuple(sum(conj[:j]) for j in range(1, k + 1)), w
 

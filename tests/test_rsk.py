@@ -378,6 +378,34 @@ class TestProbe:
         with pytest.raises(BoundExceededError):
             symmetry_probe(mixed2, mixed2, 3, max_arrays=5)
 
+    def test_census_of_small_signatures(self):
+        """Every array over the pair is symmetric only when both alphabets
+        are constant, with the same constant, up to the parity of each
+        one's smallest letter.  Checked on all pairs of 2-letter signatures
+        up to 6 columns and all pairs of 3-letter ones up to 4."""
+        for size, max_cols in ((2, 6), (3, 4)):
+            alphabets = [make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                         for sig in all_signatures(size)]
+            all_symmetric = set()
+            for top in alphabets:
+                for bottom in alphabets:
+                    counts = symmetry_probe(top, bottom, max_cols).counts
+                    if counts[(True, False)] + counts[(False, False)] == 0:
+                        all_symmetric.add((top.parities, bottom.parities))
+            kinds = [{(0,) + (c,) * (size - 1), (1,) + (c,) * (size - 1)} for c in (0, 1)]
+            expected = {(a, b) for kind in kinds for a in kind for b in kind}
+            assert all_symmetric == expected, size
+
+    def test_unaligned_witness(self):
+        """Alignment is needed: over this unaligned pair an array whose
+        columns all have pair parity 0 is not symmetric."""
+        top = make_alphabet(["1", "2", "3"], [0, 0, 1])
+        bottom = make_alphabet(["1", "2", "3"], [0, 1, 0])
+        array = validate_array([("1", "1"), ("2", "1"), ("3", "2"), ("1", "3")], top, bottom)
+        assert array.pairs == ((0, 0), (1, 0), (2, 1), (0, 2))
+        assert array.pair_parities() == (0, 0, 0, 0)
+        assert not has_symmetry(array)
+
 
 class TestArrayJson:
     def test_roundtrip(self, worked_array, split24):
