@@ -60,8 +60,13 @@ def _load_json(path: str):
         text = fh.read()
     try:
         return json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError as exc:
+        # a number past the interpreter's limit on integer string conversion
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 def _load_alphabet(path: str):
@@ -309,15 +314,14 @@ def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path):
 def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
     """Survey symmetry over all arrays with at most MAX_COLS columns."""
     alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
-    try:
-        fh = open(out_path, "w", encoding="utf-8")
+    try:  # opening, writing and closing the file all fail the same way
+        with open(out_path, "w", encoding="utf-8") as fh:
+            def sink(record):
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+            report = symmetry_probe(alphabet_l, alphabet_p, max_cols, sink=sink)
     except OSError as exc:
         raise click.FileError(out_path, hint=exc.strerror) from exc
-    with fh:
-        def sink(record):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-        report = symmetry_probe(alphabet_l, alphabet_p, max_cols, sink=sink)
     record = report.to_json_obj()
     lines = ["arrays: %d" % record["total"]] + ["%s: %d" % item for item in record["counts"].items()]
     lines.append("records written to %s" % out_path)

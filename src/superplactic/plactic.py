@@ -57,27 +57,27 @@ def is_column_word(word: Word) -> bool:
     return all(a >= col_next[b] for a, b in zip(xs, xs[1:]))
 
 
-def _k1_sides(x: int, y: int, z: int, row_next: tuple[int, ...], col_next: tuple[int, ...]) -> bool:
-    """Side conditions of the first move on an ordered triple x <= y <= z."""
-    return y >= row_next[x] and z >= col_next[y]
-
-
-def _k2_sides(x: int, y: int, z: int, row_next: tuple[int, ...], col_next: tuple[int, ...]) -> bool:
-    """Side conditions of the second move on an ordered triple x <= y <= z."""
-    return y >= col_next[x] and z >= row_next[y]
-
-
 def _knuth_moves(xs: tuple[int, ...], row_next: tuple[int, ...],
                  col_next: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Letter tuples reachable from xs by a single elementary move."""
+    """Letter tuples reachable from xs by a single elementary move.
+
+    Each move on a window a b c swaps one adjacent pair around a pivot y:
+    the first move swaps a, b around y = c, the second swaps b, c around
+    y = a.  With the swapped pair ordered as x <= z, the window is an
+    instance of the move exactly when x <= y <= z with the parity ties of
+    the module docstring, one comparison pair through row_next and
+    col_next.  The pair in the other order needs no test of its own: it
+    would ask for z <= y <= x, so both orders hold only when a = b = c,
+    and then the ties ask for that letter to have parity 0 and parity 1.
+    """
     out: set[tuple[int, ...]] = set()
     for p in range(len(xs) - 2):
         a, b, c = xs[p], xs[p + 1], xs[p + 2]
-        # window reads xzy (swap gives zxy) or zxy (swap gives xzy)
-        if _k1_sides(a, c, b, row_next, col_next) or _k1_sides(b, c, a, row_next, col_next):
+        x, z = (a, b) if a <= b else (b, a)
+        if c >= row_next[x] and z >= col_next[c]:  # xzy ~ zxy
             out.add(xs[:p] + (b, a, c) + xs[p + 3:])
-        # window reads yxz (swap gives yzx) or yzx (swap gives yxz)
-        if _k2_sides(b, a, c, row_next, col_next) or _k2_sides(c, a, b, row_next, col_next):
+        x, z = (b, c) if b <= c else (c, b)
+        if a >= col_next[x] and z >= row_next[a]:  # yxz ~ yzx
             out.add(xs[:p] + (a, c, b) + xs[p + 3:])
     return out
 
@@ -91,8 +91,8 @@ def knuth_neighbors(word: Word) -> set[Word]:
 
 def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
                   max_states: int | None = None) -> set[Word]:
-    """The full congruence class of the word, computed by breadth-first
-    search over elementary moves.
+    """The full congruence class of the word, found by searching over
+    elementary moves from the word.
 
     Exponential in the word length, so the length is capped by `max_len`
     and the number of visited words by `max_states` (the environment
@@ -119,20 +119,17 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     rn = alphabet.row_next
     cn = alphabet.col_next
     seen = {word.letters}
-    frontier = [word.letters]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in _knuth_moves(u, rn, cn):
-                if v not in seen:
-                    seen.add(v)
-                    if len(seen) > max_states:
-                        raise BoundExceededError(
-                            "class search exceeded %d states" % max_states,
-                            observed=len(seen), limit=max_states, setting=states_setting,
-                        )
-                    nxt.append(v)
-        frontier = nxt
+    todo = [word.letters]
+    while todo:
+        for v in _knuth_moves(todo.pop(), rn, cn):
+            if v not in seen:
+                seen.add(v)
+                if len(seen) > max_states:
+                    raise BoundExceededError(
+                        "class search exceeded %d states" % max_states,
+                        observed=len(seen), limit=max_states, setting=states_setting,
+                    )
+                todo.append(v)
     return {Word.from_indices(alphabet, xs) for xs in seen}
 
 

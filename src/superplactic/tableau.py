@@ -19,6 +19,7 @@ Symbols appear at the construction and serialization boundary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -262,9 +263,7 @@ def split_by_threshold(tableau: Tableau, k: int) -> tuple[Tableau, SkewTableau]:
     prefixes = []
     suffixes = []
     for row in tableau.rows:
-        m = 0
-        while m < len(row) and row[m] < k:
-            m += 1
+        m = bisect_left(row, k)  # rows weakly increase
         prefixes.append(row[:m])
         suffixes.append(row[m:])
     mu = tuple(len(p) for p in prefixes)

@@ -39,6 +39,36 @@ def classical_knuth_neighbors(xs):
     return out
 
 
+def signed_knuth_neighbors(xs, parities):
+    """Single signed Knuth moves on a tuple of letter indices.
+
+    For letters x <= y <= z the moves are xzy ~ zxy, allowed with x = y
+    only when y has parity 0 and with y = z only when y has parity 1, and
+    yxz ~ yzx, allowed with x = y only when y has parity 1 and with y = z
+    only when y has parity 0.  Every window is matched against both sides
+    of both moves for every ordered triple of its letters.
+    """
+    def allowed(x, y, z, parity_if_x_is_y, parity_if_y_is_z):
+        return ((x < y or parities[y] == parity_if_x_is_y)
+                and (y < z or parities[y] == parity_if_y_is_z))
+
+    out = set()
+    for p in range(len(xs) - 2):
+        window = xs[p:p + 3]
+        for x, y, z in itertools.combinations_with_replacement(sorted(set(window)), 3):
+            sides = []
+            if allowed(x, y, z, 0, 1):
+                sides.append(((x, z, y), (z, x, y)))
+            if allowed(x, y, z, 1, 0):
+                sides.append(((y, x, z), (y, z, x)))
+            for left, right in sides:
+                if window == left:
+                    out.add(xs[:p] + right + xs[p + 3:])
+                if window == right:
+                    out.add(xs[:p] + left + xs[p + 3:])
+    return out
+
+
 def greene_family_max(word, k, mode):
     """Largest total size of k disjoint row (or column) subwords of word.
 

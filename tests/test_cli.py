@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 
 import click
@@ -434,6 +435,50 @@ class TestExitCodes:
         code, stdout, err = run_cli(args, capsys)
         assert (code, stdout) == (1, "")
         assert "Could not open file" in err
+        assert "Traceback" not in err
+
+    def test_probe_out_write_error_exit_one(self, files, capsys):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full to fail the writes")
+        # 0 columns fail when the buffer is flushed on close; 7 columns write
+        # 12 KB, past the buffer, so a write inside the probe fails first.
+        for max_cols in (0, 7):
+            args = ["probe", "--alphabet-l", files["mixed2"], "--alphabet-p", files["mixed2"],
+                    "--max-cols", str(max_cols), "--out", "/dev/full"]
+            code, stdout, err = run_cli(args, capsys)
+            assert (code, stdout) == (1, "")
+            assert "No space left on device" in err and err.count("\n") == 1
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unlimited", [False, True], ids=["int-limit", "no-int-limit"])
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            ('{"letters": ["1"], "parity": [%s]}' % ("1" * 5000),
+             ["pieri", "--shape", "1", "--p", "1", "--alphabet", "{bad}"]),
+            ('{"shape": [%s], "rows": [["1"]]}' % ("1" * 5000),
+             ["validate", "--tableau", "{bad}", "--alphabet", "{mixed4}"]),
+        ],
+        ids=["alphabet-parity", "tableau-shape"],
+    )
+    def test_huge_json_integer_exit_one(self, files, capsys, text, args, unlimited):
+        # Pythons with a limit on integer string conversion (4300 digits by
+        # default) refuse to parse the number; without the limit it parses
+        # and is rejected as bad content.  Both must end in one error line.
+        bad = files["dir"] / "huge.json"
+        bad.write_text(text)
+        argv = [a.format(bad=bad, **files) for a in args]
+        if unlimited and hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                code, stdout, err = run_cli(argv, capsys)
+            finally:
+                sys.set_int_max_str_digits(limit)
+        else:
+            code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("setting", ["abc", "0"])

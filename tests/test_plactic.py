@@ -28,7 +28,7 @@ from superplactic import (
 )
 from superplactic.plactic import MAX_STATES_ENV
 
-from oracles import all_signatures, classical_knuth_neighbors, greene_family_max
+from oracles import all_signatures, classical_knuth_neighbors, greene_family_max, signed_knuth_neighbors
 
 
 def all_words(alphabet, max_len, min_len=0):
@@ -70,6 +70,14 @@ class TestNeighbors:
         for w in all_words(evens3, 6):
             got = {v.letters for v in knuth_neighbors(w)}
             assert got == classical_knuth_neighbors(w.letters)
+
+    def test_matches_signed_moves(self):
+        for n in range(1, 5):
+            for sig in all_signatures(n):
+                alphabet = make_alphabet([str(i) for i in range(1, n + 1)], sig)
+                for w in all_words(alphabet, 5):
+                    got = {v.letters for v in knuth_neighbors(w)}
+                    assert got == signed_knuth_neighbors(w.letters, sig), (sig, w.letters)
 
     def test_symmetric(self, mixed4):
         for w in all_words(mixed4, 5):

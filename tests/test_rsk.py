@@ -1,5 +1,8 @@
+import contextlib
+import io
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -477,3 +480,22 @@ def test_involution_maps_forward_pairs_random(arr):
     t, u = rsk_forward(arr)
     ft, fu = rsk_forward(array_involution(arr))
     assert has_symmetry(arr) == (ft == u and fu == t)
+
+
+def test_readme_library_example():
+    """The README's library example prints what its comments say."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    promised = []
+    for line in block.splitlines():
+        comment = line.partition("#")[2]
+        if comment.startswith(" ->"):
+            promised.append(comment[3:].strip())
+        elif comment and promised:
+            promised.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == promised
+    assert promised == ["1 3 4", "2", "1 2 3", "4"]
