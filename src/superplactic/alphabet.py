@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import AlphabetError, ForeignLetterError
+from .errors import AlphabetError, ForeignLetterError, _excerpt
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -57,15 +57,15 @@ class SignedAlphabet:
             )
         for sym in letters:
             if not isinstance(sym, str):
-                raise AlphabetError("letters must be strings, got %r" % (sym,))
+                raise AlphabetError("letters must be strings, got %s" % _excerpt(sym))
         for p in parities:
             if p not in (0, 1):
-                raise AlphabetError("parity must be 0 or 1, got %r" % (p,))
+                raise AlphabetError("parity must be 0 or 1, got %s" % _excerpt(p))
         parities = tuple([int(p) for p in parities])
         index: dict[str, int] = {}
         for i, sym in enumerate(letters):
             if sym in index:
-                raise AlphabetError("duplicate letter %r" % sym)
+                raise AlphabetError("duplicate letter %s" % _excerpt(sym))
             index[sym] = i
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "parities", parities)
@@ -92,7 +92,7 @@ class SignedAlphabet:
             return self._index[symbol]
         except (KeyError, TypeError):
             # TypeError: an unhashable symbol, such as a list read from JSON
-            raise ForeignLetterError("letter %r is not in the alphabet" % (symbol,)) from None
+            raise ForeignLetterError("letter %s is not in the alphabet" % _excerpt(symbol)) from None
 
     def symbol(self, i: int) -> str:
         if not 0 <= i < len(self.letters):

@@ -314,14 +314,19 @@ def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path):
 def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
     """Survey symmetry over all arrays with at most MAX_COLS columns."""
     alphabet_l, alphabet_p = _load_alphabet_pair(alphabet_l_path, alphabet_p_path)
-    try:  # opening, writing and closing the file all fail the same way
-        with open(out_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(out_path, hint=exc.strerror) from exc
+    try:  # writing and closing the file fail the same way
+        with fh:
             def sink(record):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
             report = symmetry_probe(alphabet_l, alphabet_p, max_cols, sink=sink)
     except OSError as exc:
-        raise click.FileError(out_path, hint=exc.strerror) from exc
+        name = click.format_filename(out_path)
+        raise click.ClickException("could not write %r: %s" % (name, exc.strerror)) from exc
     record = report.to_json_obj()
     lines = ["arrays: %d" % record["total"]] + ["%s: %d" % item for item in record["counts"].items()]
     lines.append("records written to %s" % out_path)

@@ -6,6 +6,16 @@ input from genuine bugs.
 """
 
 
+def _excerpt(value) -> str:
+    """The repr of a value for an error message, cut to its first 40
+    characters and its total length when longer, so that a huge input
+    cannot make an unbounded message."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return "%s... (%d characters)" % (text[:40], len(text))
+
+
 class SuperplacticError(Exception):
     """Base class for all domain errors raised by this package."""
 

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bumping import tableau_of_word
-from .errors import AlphabetMismatchError, BoundExceededError
+from .errors import AlphabetMismatchError, BoundExceededError, _excerpt
 from .shape import conjugate_partition
 from .tableau import Tableau, Word, word_of
 
@@ -112,8 +112,8 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
         except ValueError:
             max_states = 0
         if max_states < 1:
-            raise BoundExceededError("%s must be an integer of at least 1, got %r"
-                                     % (MAX_STATES_ENV, value),
+            raise BoundExceededError("%s must be an integer of at least 1, got %s"
+                                     % (MAX_STATES_ENV, _excerpt(value)),
                                      observed=value, limit=1, setting=MAX_STATES_ENV)
     alphabet = word.alphabet
     rn = alphabet.row_next

@@ -19,7 +19,9 @@ of T and U.  That always happens classically; over signed alphabets it is
 guaranteed when both alphabets put all their parity-0 letters before all
 their parity-1 letters (or both the other way around) and every column has
 pair parity 0.  Outside those hypotheses `symmetry_probe` surveys what
-actually happens.
+actually happens.  The probe carries the forward tableaux along its depth
+first walk over the arrays, so each array costs one insertion on the
+forward side, and only the involuted side runs the full correspondence.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     HypothesisError,
     ShapeError,
     ValidationError,
+    _excerpt,
 )
 from .plactic import DEFAULT_MAX_WORD_LEN
 from .shape import as_partition
@@ -127,25 +130,37 @@ def validate_array(
     return TwoRowedArray(top_alphabet, bottom_alphabet, pairs)
 
 
-def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
-    """The correspondence: array to an equal-shape tableau pair (T, U)."""
-    L = array.top_alphabet
-    P = array.bottom_alphabet
-    ppar = P.parities
-    trows: list[list[int]] = []
-    urows: list[list[int]] = []
-    for a, b in array.pairs:
+def _forward_rows(
+    trows: list[list[int]],
+    urows: list[list[int]],
+    pairs: Iterable[tuple[int, int]],
+    top_alphabet: SignedAlphabet,
+    bottom_alphabet: SignedAlphabet,
+) -> None:
+    """Extend the index rows of (T, U) by the columns `pairs`, in order,
+    then check that U is still a tableau over the bottom alphabet."""
+    ppar = bottom_alphabet.parities
+    row_next = top_alphabet.row_next
+    col_next = top_alphabet.col_next
+    for a, b in pairs:
         if ppar[b] == 0:
-            r = _bump_row(trows, a, L.col_next) - 1
+            r = _bump_row(trows, a, col_next) - 1
         else:
-            r = _col_height(urows, _bump_col(trows, a, L.row_next) - 1)
+            r = _col_height(urows, _bump_col(trows, a, row_next) - 1)
         if r == len(urows):
             urows.append([b])
         else:
             urows[r].append(b)
-    _check_index_rows(urows, P)
-    T = Tableau(L, trows)
-    U = Tableau(P, urows)
+    _check_index_rows(urows, bottom_alphabet)
+
+
+def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
+    """The correspondence: array to an equal-shape tableau pair (T, U)."""
+    trows: list[list[int]] = []
+    urows: list[list[int]] = []
+    _forward_rows(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
+    T = Tableau(array.top_alphabet, trows)
+    U = Tableau(array.bottom_alphabet, urows)
     assert T.shape == U.shape
     return T, U
 
@@ -163,7 +178,7 @@ def rsk_inverse(t: Tableau, u: Tableau) -> TwoRowedArray:
     array.
     """
     if t.shape != u.shape:
-        raise ShapeError("tableaux have shapes %r and %r" % (t.shape, u.shape))
+        raise ShapeError("tableaux have shapes %s and %s" % (_excerpt(t.shape), _excerpt(u.shape)))
     L = t.alphabet
     P = u.alphabet
     trows = [list(r) for r in t.rows]
@@ -212,18 +227,41 @@ def class_size(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN) -> int:
     return enumerate_standard(tableau_of_word(word).shape)
 
 
+def _swapped(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Columns with their two entries swapped, in the product order of the
+    swapped alphabet pair: top entry first, then bottom entry."""
+    return [(b, a) for a, b in sorted(pairs)]
+
+
 def array_involution(array: TwoRowedArray) -> TwoRowedArray:
     """Swap the two rows of every column and re-sort into the product order
     over the swapped alphabet pair."""
-    swapped = [(b, a) for a, b in sorted(array.pairs)]
-    return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, swapped)
+    return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, _swapped(array.pairs))
+
+
+def _involution_swaps(
+    pairs: Iterable[tuple[int, int]],
+    trows: list[list[int]],
+    urows: list[list[int]],
+    top_alphabet: SignedAlphabet,
+    bottom_alphabet: SignedAlphabet,
+) -> bool:
+    """Whether the involution of the array with columns `pairs`, whose
+    forward rows are (trows, urows), has the forward rows (urows, trows)."""
+    t2: list[list[int]] = []
+    u2: list[list[int]] = []
+    _forward_rows(t2, u2, _swapped(pairs), bottom_alphabet, top_alphabet)
+    return t2 == urows and u2 == trows
 
 
 def has_symmetry(array: TwoRowedArray) -> bool:
     """Whether the involution swaps the two tableaux of the correspondence."""
-    t, u = rsk_forward(array)
-    t2, u2 = rsk_forward(array_involution(array))
-    return t2 == u and u2 == t
+    L = array.top_alphabet
+    P = array.bottom_alphabet
+    trows: list[list[int]] = []
+    urows: list[list[int]] = []
+    _forward_rows(trows, urows, array.pairs, L, P)
+    return _involution_swaps(array.pairs, trows, urows, L, P)
 
 
 def _parity_first(alphabet: SignedAlphabet, p: int) -> bool:
@@ -294,27 +332,27 @@ def c_lambda(lam: Iterable[int]) -> Tableau:
     return Tableau(alphabet, [range(part) for part in lam])
 
 
-def enumerate_arrays(
+def _column_walk(
     top_alphabet: SignedAlphabet,
     bottom_alphabet: SignedAlphabet,
     max_cols: int,
-) -> Iterator[TwoRowedArray]:
-    """All valid arrays with at most max_cols columns, in a deterministic
-    order: depth first over the row words of the product alphabet, so each
-    array comes before its extensions, and these follow in increasing last
-    column."""
+) -> Iterator[list[tuple[int, int]]]:
+    """The columns of every valid array with at most max_cols columns, in
+    the order of `enumerate_arrays`, as one live list: each yield drops
+    zero or more columns from the end of the list and then appends one,
+    apart from the first, which yields the empty list."""
     if max_cols < 0:
         raise ValueError("max_cols must be nonnegative")
     pairs = [(a, b) for b in range(len(bottom_alphabet)) for a in range(len(top_alphabet))]
     par = _pair_parities(top_alphabet, bottom_alphabet)
     n = len(pairs)
 
-    def walk() -> Iterator[TwoRowedArray]:
+    def walk() -> Iterator[list[tuple[int, int]]]:
         word: list[int] = []
         cols: list[tuple[int, int]] = []
         c = 0  # the smallest letter the next column may take
         while True:
-            yield TwoRowedArray(top_alphabet, bottom_alphabet, cols)
+            yield cols
             if len(cols) == max_cols:
                 c = n
             # With no letter left, drop the last column and try its successor.
@@ -328,6 +366,19 @@ def enumerate_arrays(
             c += par[c]
 
     return walk()
+
+
+def enumerate_arrays(
+    top_alphabet: SignedAlphabet,
+    bottom_alphabet: SignedAlphabet,
+    max_cols: int,
+) -> Iterator[TwoRowedArray]:
+    """All valid arrays with at most max_cols columns, in a deterministic
+    order: depth first over the row words of the product alphabet, so each
+    array comes before its extensions, and these follow in increasing last
+    column."""
+    return (TwoRowedArray(top_alphabet, bottom_alphabet, cols)
+            for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols))
 
 
 _CELL_NAMES = {
@@ -376,21 +427,43 @@ def symmetry_probe(
     satisfied, symmetric).  `sink`, if given, receives one dict per array,
     which the command line driver streams out as JSON lines."""
     aligned = _aligned(top_alphabet, bottom_alphabet)
+    top_letters = top_alphabet.letters
+    bottom_letters = bottom_alphabet.letters
+    par = _pair_parities(top_alphabet, bottom_alphabet)
+    n = len(top_alphabet)
     report = ProbeReport(max_cols=max_cols)
-    for array in enumerate_arrays(top_alphabet, bottom_alphabet, max_cols):
+    # stack[d] holds the forward rows (T, U) of the first d columns of the
+    # array in hand, and how many of those columns have pair parity 1.
+    stack: list[tuple[list[list[int]], list[list[int]], int]] = []
+    for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols):
         report.total += 1
         if report.total > max_arrays:
             raise BoundExceededError("probe exceeded %d arrays" % max_arrays,
                                      observed=report.total, limit=max_arrays,
                                      setting="max_arrays")
-        hyp = aligned and all(p == 0 for p in array.pair_parities())
-        sym = has_symmetry(array)
+        # The walk kept the first len(cols) - 1 columns, so the rows of
+        # that prefix are on the stack: copy them and insert the last one.
+        del stack[len(cols):]
+        if stack:
+            parent_t, parent_u, odd = stack[-1]
+            trows = [row[:] for row in parent_t]
+            urows = [row[:] for row in parent_u]
+            a, b = cols[-1]
+            odd += par[b * n + a]
+        else:
+            trows, urows, odd = [], [], 0
+        _forward_rows(trows, urows, cols[-1:], top_alphabet, bottom_alphabet)
+        stack.append((trows, urows, odd))
+        hyp = aligned and odd == 0
+        sym = _involution_swaps(cols, trows, urows, top_alphabet, bottom_alphabet)
         key = (hyp, sym)
         report.counts[key] += 1
         if len(report.examples[key]) < examples_per_cell:
-            report.examples[key].append(array)
+            report.examples[key].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
         if sink is not None:
-            sink(dict(array_to_json(array), hypothesis=hyp, symmetric=sym))
+            sink({"top": [top_letters[a] for a, _ in cols],
+                  "bottom": [bottom_letters[b] for _, b in cols],
+                  "hypothesis": hyp, "symmetric": sym})
     return report
 
 

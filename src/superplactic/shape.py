@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import ShapeError
+from .errors import ShapeError, _excerpt
 
 Partition = tuple[int, ...]
 
@@ -20,10 +20,10 @@ def as_partition(parts: Iterable[int]) -> Partition:
     lam = tuple(parts)
     for p in lam:
         if not isinstance(p, int) or p <= 0:
-            raise ShapeError("partition parts must be positive integers, got %r" % (p,))
+            raise ShapeError("partition parts must be positive integers, got %s" % _excerpt(p))
     for a, b in zip(lam, lam[1:]):
         if a < b:
-            raise ShapeError("partition parts must weakly decrease, got %r" % (lam,))
+            raise ShapeError("partition parts must weakly decrease, got %s" % _excerpt(lam))
     return lam
 
 
@@ -93,7 +93,8 @@ class SkewDiagram:
         outer = as_partition(self.outer)
         inner = as_partition(self.inner)
         if not contains(outer, inner):
-            raise ShapeError("inner shape %r is not contained in outer shape %r" % (inner, outer))
+            raise ShapeError("inner shape %s is not contained in outer shape %s"
+                             % (_excerpt(inner), _excerpt(outer)))
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 

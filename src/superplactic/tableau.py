@@ -30,6 +30,7 @@ from .errors import (
     ForeignLetterError,
     ShapeError,
     ValidationError,
+    _excerpt,
 )
 from .shape import Partition, as_partition, conjugate_partition, contains
 
@@ -138,7 +139,8 @@ class SkewTableau:
         outer = as_partition(self.outer)
         inner = as_partition(self.inner)
         if not contains(outer, inner):
-            raise ShapeError("inner shape %r not contained in outer shape %r" % (inner, outer))
+            raise ShapeError("inner shape %s not contained in outer shape %s"
+                             % (_excerpt(inner), _excerpt(outer)))
         rows = tuple(tuple(r) for r in self.rows)
         if len(rows) != len(outer):
             raise ShapeError("expected %d rows, got %d" % (len(outer), len(rows)))
@@ -203,7 +205,7 @@ def _check_index_rows(rows: Sequence[Sequence[int]], alphabet: SignedAlphabet) -
             raise ShapeError("empty row in tableau")
     for a, b in zip(lengths, lengths[1:]):
         if a < b:
-            raise ShapeError("row lengths must weakly decrease, got %r" % (lengths,))
+            raise ShapeError("row lengths must weakly decrease, got %s" % _excerpt(lengths))
     _check_cells(rows, (0,) * len(rows), alphabet)
 
 
@@ -368,7 +370,7 @@ def tableau_from_json(obj: dict, alphabet: SignedAlphabet) -> Tableau:
         raise ShapeError('tableau JSON "shape" must be an array')
     t = validate(rows, alphabet)
     if "shape" in obj and tuple(obj["shape"]) != t.shape:
-        raise ShapeError("declared shape %r does not match rows" % (obj["shape"],))
+        raise ShapeError("declared shape %s does not match rows" % _excerpt(obj["shape"]))
     return t
 
 

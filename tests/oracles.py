@@ -150,3 +150,64 @@ def words_over(alphabet, max_len, min_len=0):
     n = len(alphabet.letters)
     for length in range(min_len, max_len + 1):
         yield from itertools.product(range(n), repeat=length)
+
+
+def super_rsk(pairs, top_parities, bottom_parities):
+    """Super RSK of an array given as (top, bottom) letter index pairs.
+
+    Reading the columns left to right, the top letter x goes into T by row
+    insertion when the bottom letter has parity 0 and by column insertion
+    when it has parity 1; the bottom letter is placed in U at the cell
+    where T grew.  Row insertion bumps, in each row, the leftmost entry
+    greater than x (or equal to x, when x has parity 1); column insertion
+    bumps, in each column, the topmost entry greater than x (or equal to
+    x, when x has parity 0).  Every search is a plain scan.  Returns
+    (T, U) as tuples of rows.
+    """
+    t, u = [], []
+    for x, b in pairs:
+        if bottom_parities[b] == 0:
+            i, j = _scan_row_insert(t, x, top_parities)
+        else:
+            i, j = _scan_col_insert(t, x, top_parities)
+        if i == len(u):
+            u.append([])
+        assert len(u[i]) == j, "T grew at a cell that is not an outer corner"
+        u[i].append(b)
+    return tuple(map(tuple, t)), tuple(map(tuple, u))
+
+
+def _scan_row_insert(rows, x, parities):
+    """Row insert x into rows; returns the 0-based cell that was added."""
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([x])
+            return i, 0
+        row = rows[i]
+        for j, y in enumerate(row):
+            if y > x or (y == x and parities[x] == 1):
+                row[j], x = x, y
+                break
+        else:
+            row.append(x)
+            return i, len(row) - 1
+        i += 1
+
+
+def _scan_col_insert(rows, x, parities):
+    """Column insert x into rows; returns the 0-based cell that was added."""
+    j = 0
+    while True:
+        column = [row[j] for row in rows if len(row) > j]
+        for i, y in enumerate(column):
+            if y > x or (y == x and parities[x] == 0):
+                rows[i][j], x = x, y
+                break
+        else:
+            i = len(column)
+            if i == len(rows):
+                rows.append([])
+            rows[i].append(x)
+            return i, j
+        j += 1

@@ -59,6 +59,24 @@ def test_non_string_letter_rejected():
         make_alphabet([1], [0])
 
 
+@pytest.mark.parametrize(
+    "letters, parities, message",
+    [
+        (["a", "a"], [0, 0], "duplicate letter 'a'"),
+        (["a"], [2], "parity must be 0 or 1, got 2"),
+        ([1], [0], "letters must be strings, got 1"),
+        (["x" * 100] * 2, [0, 0], "duplicate letter '%s... (102 characters)" % ("x" * 39)),
+        (["a"], [10 ** 99], "parity must be 0 or 1, got %s... (100 characters)" % ("1" + "0" * 39)),
+    ],
+)
+def test_messages_cut_long_values(letters, parities, message):
+    """Short values are echoed whole; long ones are cut to 40 characters
+    followed by their length."""
+    with pytest.raises(AlphabetError) as info:
+        make_alphabet(letters, parities)
+    assert str(info.value) == message
+
+
 def test_foreign_symbol_raises(mixed4):
     with pytest.raises(ForeignLetterError):
         mixed4.index("9")
@@ -66,6 +84,9 @@ def test_foreign_symbol_raises(mixed4):
         mixed4.parity_of("9")
     with pytest.raises(ForeignLetterError):
         mixed4.to_indices(["1", "9"])
+    with pytest.raises(ForeignLetterError) as info:
+        mixed4.index("9" * 5000)
+    assert str(info.value) == "letter '%s... (5002 characters) is not in the alphabet" % ("9" * 39)
 
 
 def test_index_symbol_roundtrip(alternating6):

@@ -447,8 +447,8 @@ class TestExitCodes:
                     "--max-cols", str(max_cols), "--out", "/dev/full"]
             code, stdout, err = run_cli(args, capsys)
             assert (code, stdout) == (1, "")
-            assert "No space left on device" in err and err.count("\n") == 1
-            assert "Traceback" not in err
+            # The open succeeded, so the message names the write.
+            assert err == "Error: could not write '/dev/full': No space left on device\n"
 
     @pytest.mark.parametrize("unlimited", [False, True], ids=["int-limit", "no-int-limit"])
     @pytest.mark.parametrize(
@@ -480,6 +480,8 @@ class TestExitCodes:
         assert (code, stdout) == (1, "")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        # The offending value is cut short, not echoed in full.
+        assert len(err) < 200
 
     @pytest.mark.parametrize("setting", ["abc", "0"])
     def test_bad_state_bound_setting_exit_one(self, files, capsys, monkeypatch, setting):

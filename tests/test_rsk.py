@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superplactic.rsk
 from superplactic import (
     BoundExceededError,
     CornerError,
     HypothesisError,
     ShapeError,
     Tableau,
+    TwoRowedArray,
     ValidationError,
     Word,
     array_from_json,
@@ -40,7 +42,7 @@ from superplactic import (
     word_to_array,
 )
 
-from oracles import all_signatures
+from oracles import all_signatures, super_rsk
 
 
 WORKED_COLUMNS = [
@@ -398,6 +400,62 @@ class TestProbe:
             kinds = [{(0,) + (c,) * (size - 1), (1,) + (c,) * (size - 1)} for c in (0, 1)]
             expected = {(a, b) for kind in kinds for a in kind for b in kind}
             assert all_symmetric == expected, size
+
+    def test_against_oracle_on_small_signatures(self):
+        """On every pair of signatures of 1-3 letters up to 3 columns:
+        has_symmetry is the independent oracle's answer to whether the
+        involution has the tableau pair (U, T), and the probe streams one
+        record per array of enumerate_arrays, in the same order, with the
+        oracle's symmetry and the hypotheses read off the parities."""
+        def blocks(par):
+            return {p for p in (0, 1) if list(par) == sorted(par, reverse=p == 1)}
+
+        alphabets = [make_alphabet("abc"[:k], sig) for k in (1, 2, 3) for sig in all_signatures(k)]
+        for top in alphabets:
+            lpar = top.parities
+            for bottom in alphabets:
+                ppar = bottom.parities
+                aligned = bool(blocks(lpar) & blocks(ppar))
+                records = []
+                symmetry_probe(top, bottom, 3, sink=records.append)
+                expected = []
+                for arr in enumerate_arrays(top, bottom, 3):
+                    t, u = super_rsk(arr.pairs, lpar, ppar)
+                    swapped = sorted(((b, a) for a, b in arr.pairs), key=lambda ba: (ba[1], ba[0]))
+                    sym = super_rsk(swapped, ppar, lpar) == (u, t)
+                    assert has_symmetry(arr) == sym
+                    hyp = aligned and all((lpar[a] + ppar[b]) % 2 == 0 for a, b in arr.pairs)
+                    expected.append({"top": list(arr.top_symbols), "bottom": list(arr.bottom_symbols),
+                                     "hypothesis": hyp, "symmetric": sym})
+                assert records == expected
+
+    @pytest.mark.parametrize("side", ["forward", "involuted"])
+    def test_both_sides_validate_u(self, monkeypatch, side):
+        """The check of U runs on each side for every array: a check that
+        fails on a nonempty U over one side's alphabet stops the probe and
+        has_symmetry at the first nonempty array."""
+        top = make_alphabet(["1", "2"], [0, 1])
+        bottom = make_alphabet(["x", "y"], [1, 0])
+        checked = {"forward": bottom, "involuted": top}[side]
+        check = superplactic.rsk._check_index_rows
+
+        def failing(rows, alphabet):
+            if rows and alphabet == checked:
+                raise RuntimeError("check of U ran")
+            check(rows, alphabet)
+
+        monkeypatch.setattr(superplactic.rsk, "_check_index_rows", failing)
+        records = []
+        with pytest.raises(RuntimeError, match="check of U ran"):
+            symmetry_probe(top, bottom, 2, sink=records.append)
+        assert records == [{"top": [], "bottom": [], "hypothesis": False, "symmetric": True}]
+        assert has_symmetry(TwoRowedArray(top, bottom, ()))
+        with pytest.raises(RuntimeError, match="check of U ran"):
+            has_symmetry(TwoRowedArray(top, bottom, [(0, 0)]))
+
+    def test_negative_max_cols_raises_on_call(self, mixed2):
+        with pytest.raises(ValueError):
+            symmetry_probe(mixed2, mixed2, -1)
 
     def test_unaligned_witness(self):
         """Alignment is needed: over this unaligned pair an array whose

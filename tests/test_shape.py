@@ -33,6 +33,20 @@ def test_as_partition_rejects_bad_input():
         as_partition([2.5])
 
 
+def test_messages_cut_long_values():
+    with pytest.raises(ShapeError, match=r"^partition parts must weakly decrease, got \(1, 2\)$"):
+        as_partition([1, 2])
+    long = tuple(range(1, 40))
+    with pytest.raises(ShapeError) as info:
+        as_partition(long)
+    assert str(info.value) == "partition parts must weakly decrease, got %s... (%d characters)" % (
+        repr(long)[:40], len(repr(long)))
+    with pytest.raises(ShapeError) as info:
+        as_partition([-10 ** 60])
+    assert str(info.value) == "partition parts must be positive integers, got -%s... (62 characters)" % (
+        "1" + "0" * 38)
+
+
 def test_size():
     assert size(()) == 0
     assert size((4, 2, 1)) == 7
