@@ -20,8 +20,17 @@ col_next[x] the smallest letter allowed below x in a column.
     swaps with the lowest entry below col_next[x].
 
 Insertion that bumps nothing appends x to the end of the row (or the bottom
-of the column) and reports the row (or column) index.  A deletion whose
-in-hand letter finds nothing to swap with stops there and ejects it.
+of the column).  A deletion whose in-hand letter finds nothing to swap with
+stops there and ejects it.
+
+The four private primitives work on lists of letter-index rows in place and
+share one 0-based convention: `_bump_row` and `_bump_col` return the row of
+the cell they add, and `_unbump_row` and `_unbump_col` take the row whose
+last cell they remove (for a column deletion, the bottom cell of its
+column).  Their traces hold 0-based (row, column, letter index) steps.  The
+public functions keep 1-based rows and columns: an insertion reports the row
+(or column) of the last cell of its trace, and a deletion takes a row (or
+column) index.
 
 The module-level functions are pure: they copy the input tableau and return
 fresh objects.
@@ -38,36 +47,36 @@ Trace = tuple[tuple[int, int, int], ...]
 
 
 def _bump_row(rows: list[list[int]], x: int, col_next: tuple[int, ...], trace=None) -> int:
-    """Insert letter index x, mutating rows; returns the 1-based row index
-    of the cell added at the end of the bumping chain."""
+    """Row insert letter index x, mutating rows; returns the 0-based row of
+    the cell added at the end of the bumping chain."""
     i = 0
     while True:
         if i == len(rows):
             rows.append([x])
             if trace is not None:
-                trace.append((i + 1, 1, x))
-            return i + 1
+                trace.append((i, 0, x))
+            return i
         row = rows[i]
         j = bisect_left(row, col_next[x])
         if j == len(row):
             row.append(x)
             if trace is not None:
-                trace.append((i + 1, j + 1, x))
-            return i + 1
+                trace.append((i, j, x))
+            return i
         row[j], x = x, row[j]
         if trace is not None:
-            trace.append((i + 1, j + 1, row[j]))
+            trace.append((i, j, row[j]))
         i += 1
 
 
-def _unbump_row(rows: list[list[int]], i: int, row_next: tuple[int, ...]) -> int:
-    """Delete the last cell of 1-based row i, mutating rows; returns the
+def _unbump_row(rows: list[list[int]], r: int, row_next: tuple[int, ...]) -> int:
+    """Delete the last cell of 0-based row r, mutating rows; returns the
     ejected letter index.  The caller checks the corner precondition."""
-    x = rows[i - 1].pop()
-    if not rows[i - 1]:
-        assert i == len(rows)
+    x = rows[r].pop()
+    if not rows[r]:
+        assert r == len(rows) - 1
         rows.pop()
-    for h in range(i - 2, -1, -1):
+    for h in range(r - 1, -1, -1):
         row = rows[h]
         jj = bisect_left(row, row_next[x]) - 1
         if jj < 0:
@@ -76,56 +85,47 @@ def _unbump_row(rows: list[list[int]], i: int, row_next: tuple[int, ...]) -> int
     return x
 
 
-def _col_height(rows: list[list[int]], j: int) -> int:
-    """Number of cells in 0-based column j."""
-    h = 0
-    while h < len(rows) and len(rows[h]) > j:
-        h += 1
-    return h
-
-
 def _is_corner(rows: list[list[int]], r: int) -> bool:
     """Whether the last cell of 0-based row r is a removable corner."""
     return r + 1 == len(rows) or len(rows[r]) > len(rows[r + 1])
 
 
 def _bump_col(rows: list[list[int]], x: int, row_next: tuple[int, ...], trace=None) -> int:
-    """Insert letter index x by columns, mutating rows; returns the 1-based
-    column index of the added cell."""
+    """Column insert letter index x, mutating rows; returns the 0-based row
+    of the cell added at the end of the bumping chain."""
     j = 0
     while True:
-        h = _col_height(rows, j)
         bound = row_next[x]
         i = 0
-        while i < h and rows[i][j] < bound:
+        while i < len(rows) and len(rows[i]) > j and rows[i][j] < bound:
             i += 1
-        if i == h:
-            if h == len(rows):
+        if i == len(rows) or len(rows[i]) == j:
+            # Column j ends above row i, and nothing in it is bumped.
+            if i == len(rows):
                 rows.append([x])
             else:
-                assert len(rows[h]) == j
-                rows[h].append(x)
+                rows[i].append(x)
             if trace is not None:
-                trace.append((h + 1, j + 1, x))
-            return j + 1
+                trace.append((i, j, x))
+            return i
         rows[i][j], x = x, rows[i][j]
         if trace is not None:
-            trace.append((i + 1, j + 1, rows[i][j]))
+            trace.append((i, j, rows[i][j]))
         j += 1
 
 
-def _unbump_col(rows: list[list[int]], j: int, col_next: tuple[int, ...]) -> int:
-    """Delete the bottom cell of 1-based column j, mutating rows; returns
-    the ejected letter index.  The caller checks the corner precondition."""
-    h = _col_height(rows, j - 1)
-    x = rows[h - 1].pop()
-    if not rows[h - 1]:
+def _unbump_col(rows: list[list[int]], r: int, col_next: tuple[int, ...]) -> int:
+    """Delete the last cell of 0-based row r, the bottom cell of its column,
+    mutating rows; returns the ejected letter index.  The caller checks the
+    corner precondition."""
+    row = rows[r]
+    x = row.pop()
+    if not row:
         rows.pop()
-    for c in range(j - 2, -1, -1):
-        h = _col_height(rows, c)
+    for c in range(len(row) - 1, -1, -1):
         bound = col_next[x]
         i = 0
-        while i < h and rows[i][c] < bound:
+        while i < len(rows) and len(rows[i]) > c and rows[i][c] < bound:
             i += 1
         if i == 0:
             break
@@ -133,35 +133,37 @@ def _unbump_col(rows: list[list[int]], j: int, col_next: tuple[int, ...]) -> int
     return x
 
 
-def _insert(tableau: Tableau, x: str, bump, table: tuple[int, ...], steps=None):
-    """Run one insertion on a copy of the rows.  Returns the new tableau and
-    the index bump reports, and the symbol trace too when steps is a list."""
+def _insert(tableau: Tableau, x: str, bump, table: tuple[int, ...]) -> tuple[Tableau, Trace]:
+    """Run one insertion on a copy of the rows; returns the new tableau and
+    the bumping chain as 1-based (row, column, symbol) placements, the added
+    cell last."""
     alphabet = tableau.alphabet
     rows = [list(r) for r in tableau.rows]
-    k = bump(rows, alphabet.index(x), table, steps)
-    if steps is None:
-        return Tableau(alphabet, rows), k
-    return Tableau(alphabet, rows), k, tuple((r, c, alphabet.symbol(v)) for r, c, v in steps)
+    steps: list[tuple[int, int, int]] = []
+    bump(rows, alphabet.index(x), table, steps)
+    return Tableau(alphabet, rows), tuple((r + 1, c + 1, alphabet.symbol(v)) for r, c, v in steps)
 
 
-def _delete(tableau: Tableau, unbump, k: int, table: tuple[int, ...]) -> tuple[Tableau, str]:
-    """Run one deletion on a copy of the rows; returns the new tableau and
-    the ejected symbol."""
-    rows = [list(r) for r in tableau.rows]
-    x = unbump(rows, k, table)
+def _delete(tableau: Tableau, unbump, r: int, table: tuple[int, ...]) -> tuple[Tableau, str]:
+    """Run one deletion from the last cell of 0-based row r on a copy of the
+    rows; returns the new tableau and the ejected symbol."""
+    rows = [list(row) for row in tableau.rows]
+    x = unbump(rows, r, table)
     return Tableau(tableau.alphabet, rows), tableau.alphabet.symbol(x)
 
 
 def row_insert(tableau: Tableau, x: str) -> tuple[Tableau, int]:
     """Row insert the letter x; returns the new tableau and the 1-based row
     index where the bumping chain ended."""
-    return _insert(tableau, x, _bump_row, tableau.alphabet.col_next)
+    t, i, _ = row_insert_trace(tableau, x)
+    return t, i
 
 
 def row_insert_trace(tableau: Tableau, x: str) -> tuple[Tableau, int, Trace]:
     """Like row_insert, also returning the bumping chain as a tuple of
     (row, column, symbol) placements, the final appended cell included."""
-    return _insert(tableau, x, _bump_row, tableau.alphabet.col_next, [])
+    t, trace = _insert(tableau, x, _bump_row, tableau.alphabet.col_next)
+    return t, trace[-1][0], trace
 
 
 def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
@@ -173,19 +175,21 @@ def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
         raise CornerError("row %d does not exist" % i)
     if not _is_corner(rows, i - 1):
         raise CornerError("the last cell of row %d is not a removable corner" % i)
-    return _delete(tableau, _unbump_row, i, tableau.alphabet.row_next)
+    return _delete(tableau, _unbump_row, i - 1, tableau.alphabet.row_next)
 
 
 def col_insert(x: str, tableau: Tableau) -> tuple[Tableau, int]:
     """Column insert the letter x; returns the new tableau and the 1-based
     column index where the bumping chain ended."""
-    return _insert(tableau, x, _bump_col, tableau.alphabet.row_next)
+    t, j, _ = col_insert_trace(x, tableau)
+    return t, j
 
 
 def col_insert_trace(x: str, tableau: Tableau) -> tuple[Tableau, int, Trace]:
     """Like col_insert, also returning the bumping chain as (row, column,
     symbol) placements."""
-    return _insert(tableau, x, _bump_col, tableau.alphabet.row_next, [])
+    t, trace = _insert(tableau, x, _bump_col, tableau.alphabet.row_next)
+    return t, trace[-1][1], trace
 
 
 def col_delete(tableau: Tableau, j: int) -> tuple[Tableau, str]:
@@ -193,12 +197,12 @@ def col_delete(tableau: Tableau, j: int) -> tuple[Tableau, str]:
     and run the column bumping chain backwards; returns the new tableau and
     the ejected letter."""
     rows = tableau.rows
-    h = _col_height(rows, j - 1)
+    h = sum(len(row) >= j for row in rows)
     if j < 1 or h == 0:
         raise CornerError("column %d does not exist" % j)
     if len(rows[h - 1]) != j:
         raise CornerError("the bottom cell of column %d is not a removable corner" % j)
-    return _delete(tableau, _unbump_col, j, tableau.alphabet.col_next)
+    return _delete(tableau, _unbump_col, h - 1, tableau.alphabet.col_next)
 
 
 def row_insert_word(tableau: Tableau, word: Word) -> Tableau:
@@ -214,8 +218,4 @@ def row_insert_word(tableau: Tableau, word: Word) -> Tableau:
 
 def tableau_of_word(word: Word) -> Tableau:
     """Tableau of a word: row insert its letters into the empty tableau."""
-    rows: list[list[int]] = []
-    col_next = word.alphabet.col_next
-    for x in word.letters:
-        _bump_row(rows, x, col_next)
-    return Tableau(word.alphabet, rows)
+    return row_insert_word(Tableau.empty(word.alphabet), word)

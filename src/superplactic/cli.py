@@ -26,7 +26,7 @@ from .bumping import (
     row_insert_trace,
     tableau_of_word,
 )
-from .errors import HypothesisError, SuperplacticError
+from .errors import HypothesisError, SuperplacticError, _excerpt
 from .plactic import (
     DEFAULT_MAX_WORD_LEN,
     canonical_word,
@@ -99,7 +99,7 @@ def _parse_shape(text: str):
     try:
         parts = [int(s) for s in text.split(",")]
     except ValueError:
-        raise click.BadParameter("%r is not a comma-separated list of integers" % text,
+        raise click.BadParameter("%s is not a comma-separated list of integers" % _excerpt(text),
                                  param_hint="'--shape'") from None
     return as_partition(parts)
 

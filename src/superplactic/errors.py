@@ -10,7 +10,14 @@ def _excerpt(value) -> str:
     """The repr of a value for an error message, cut to its first 40
     characters and its total length when longer, so that a huge input
     cannot make an unbounded message."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        # Past Python's limit on integer-to-string conversion, repr of a
+        # huge int, or of a container holding one, raises.
+        if isinstance(value, int):
+            return "an integer of %d bits" % value.bit_length()
+        return "a %s too long to print" % type(value).__name__
     if len(text) <= 40:
         return text
     return "%s... (%d characters)" % (text[:40], len(text))

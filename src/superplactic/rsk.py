@@ -33,7 +33,6 @@ from .alphabet import SignedAlphabet, _pair_parities, make_alphabet
 from .bumping import (
     _bump_col,
     _bump_row,
-    _col_height,
     _is_corner,
     _unbump_col,
     _unbump_row,
@@ -143,10 +142,7 @@ def _forward_rows(
     row_next = top_alphabet.row_next
     col_next = top_alphabet.col_next
     for a, b in pairs:
-        if ppar[b] == 0:
-            r = _bump_row(trows, a, col_next) - 1
-        else:
-            r = _col_height(urows, _bump_col(trows, a, row_next) - 1)
+        r = _bump_row(trows, a, col_next) if ppar[b] == 0 else _bump_col(trows, a, row_next)
         if r == len(urows):
             urows.append([b])
         else:
@@ -172,10 +168,10 @@ def rsk_inverse(t: Tableau, u: Tableau) -> TwoRowedArray:
     removable corner of u, found by one walk over the ends of u's rows: top
     down when y has parity 0, so the lowest-index row ending in y, and
     bottom up when y has parity 1, so the lowest-index column.  The corner
-    is removed from u, and a row deletion at its row (parity 0) or a column
-    deletion at its column (parity 1) releases the matching top letter from
-    t.  The recovered columns, sorted into the product order, form the
-    array.
+    is removed from u, and a row deletion (parity 0) or a column deletion
+    (parity 1) from the last cell of the same row of t releases the
+    matching top letter.  The recovered columns, sorted into the product
+    order, form the array.
     """
     if t.shape != u.shape:
         raise ShapeError("tableaux have shapes %s and %s" % (_excerpt(t.shape), _excerpt(u.shape)))
@@ -196,10 +192,7 @@ def rsk_inverse(t: Tableau, u: Tableau) -> TwoRowedArray:
                 "letter %s heads no removable %s corner; not a valid pair"
                 % (P.symbol(y), "row" if even else "column")
             )
-        if even:
-            x = _unbump_row(trows, r + 1, L.row_next)
-        else:
-            x = _unbump_col(trows, len(urows[r]), L.col_next)
+        x = _unbump_row(trows, r, L.row_next) if even else _unbump_col(trows, r, L.col_next)
         urows[r].pop()
         if not urows[r]:
             urows.pop()

@@ -7,7 +7,7 @@ both coordinates starting at 1, matrix style.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import ShapeError, _excerpt
@@ -25,10 +25,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
         if a < b:
             raise ShapeError("partition parts must weakly decrease, got %s" % _excerpt(lam))
     return lam
-
-
-def size(lam: Iterable[int]) -> int:
-    return sum(as_partition(lam))
 
 
 def cells(lam: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -130,13 +126,3 @@ def is_horizontal_strip(skew: SkewDiagram) -> bool:
 def is_vertical_strip(skew: SkewDiagram) -> bool:
     """Whether the skew diagram has at most one cell in every row."""
     return _one_cell_per_line(skew, 0)
-
-
-def shape_to_json(lam: Sequence[int]) -> list[int]:
-    return list(as_partition(lam))
-
-
-def shape_from_json(obj) -> Partition:
-    if not isinstance(obj, list):
-        raise ShapeError("partition JSON must be an integer array")
-    return as_partition(obj)

@@ -372,11 +372,3 @@ def tableau_from_json(obj: dict, alphabet: SignedAlphabet) -> Tableau:
     if "shape" in obj and tuple(obj["shape"]) != t.shape:
         raise ShapeError("declared shape %s does not match rows" % _excerpt(obj["shape"]))
     return t
-
-
-def skew_tableau_to_json(tableau: SkewTableau) -> dict:
-    return {
-        "outer": list(tableau.outer),
-        "inner": list(tableau.inner),
-        "rows": [list(r) for r in tableau.symbol_rows()],
-    }

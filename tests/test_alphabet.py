@@ -67,6 +67,8 @@ def test_non_string_letter_rejected():
         ([1], [0], "letters must be strings, got 1"),
         (["x" * 100] * 2, [0, 0], "duplicate letter '%s... (102 characters)" % ("x" * 39)),
         (["a"], [10 ** 99], "parity must be 0 or 1, got %s... (100 characters)" % ("1" + "0" * 39)),
+        # past the default limit on integer-to-string conversion, where repr raises
+        (["a"], [10 ** 5000], "parity must be 0 or 1, got an integer of 16610 bits"),
     ],
 )
 def test_messages_cut_long_values(letters, parities, message):

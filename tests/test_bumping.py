@@ -29,7 +29,7 @@ from superplactic import (
     SkewDiagram,
 )
 
-from oracles import all_signatures, scan_schensted
+from oracles import _scan_col_insert, _scan_row_insert, all_signatures, scan_schensted
 
 
 def small_tableaux(alphabet, max_cells):
@@ -301,10 +301,10 @@ class TestRowWordGrowth:
 
 
 @st.composite
-def alphabet_and_word(draw):
+def alphabet_and_word(draw, max_len=9):
     k = draw(st.integers(1, 5))
     parities = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    letters = draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=9))
+    letters = draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=max_len))
     alphabet = make_alphabet([str(i + 1) for i in range(k)], parities)
     return Word.from_indices(alphabet, letters)
 
@@ -320,12 +320,26 @@ def test_random_words_build_valid_tableaux(word):
     assert built == content
 
 
-@given(alphabet_and_word(), st.integers(0, 4))
+@given(alphabet_and_word(max_len=40), st.integers(0, 4), st.sampled_from(["row", "col"]))
 @settings(max_examples=200)
-def test_random_insert_delete_roundtrip(word, pick):
+def test_random_insert_delete_roundtrip(word, pick, mode):
     alphabet = word.alphabet
     t = tableau_of_word(word)
     x = alphabet.letters[pick % len(alphabet.letters)]
-    t1, i = row_insert(t, x)
-    back, y = row_delete(t1, i)
+    rows = [list(r) for r in t.rows]
+    if mode == "row":
+        t1, k, trace = row_insert_trace(t, x)
+        assert (t1, k) == row_insert(t, x)
+        back, y = row_delete(t1, k)
+        i, j = _scan_row_insert(rows, alphabet.index(x), alphabet.parities)
+        assert k == i + 1
+    else:
+        t1, k, trace = col_insert_trace(x, t)
+        assert (t1, k) == col_insert(x, t)
+        back, y = col_delete(t1, k)
+        i, j = _scan_col_insert(rows, alphabet.index(x), alphabet.parities)
+        assert k == j + 1
     assert (back, y) == (t, x)
+    # The trace ends at the cell the plain-scan oracle adds, counted from 1.
+    assert trace[-1][:2] == (i + 1, j + 1)
+    assert t1.rows == tuple(map(tuple, rows))

@@ -421,12 +421,17 @@ class TestExitCodes:
             ["class", "--word", "1", "--limit", "-1", "--alphabet", "{mixed4}"],
             ["probe", "--alphabet-l", "{mixed2}", "--alphabet-p", "{mixed2}", "--max-cols", "-1",
              "--out", "{dir}/records.jsonl"],
+            # long shapes are cut in the message, whether the parse fails on
+            # a letter or on a part past the integer-conversion limit
+            ["pieri", "--shape", ",".join("x" * 3000), "--p", "1", "--alphabet", "{mixed4}"],
+            ["pieri", "--shape", "1" * 5000, "--p", "1", "--alphabet", "{mixed4}"],
         ],
     )
     def test_bad_number_or_shape_is_usage_error(self, files, capsys, args):
         code, _, err = run_cli([a.format(**files) for a in args], capsys)
         assert code == 2
         assert "Traceback" not in err
+        assert len(err.encode()) < 1024
 
     def test_probe_out_in_missing_directory_exit_one(self, files, capsys):
         out = files["dir"] / "no" / "such" / "records.jsonl"

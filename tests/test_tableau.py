@@ -28,7 +28,6 @@ from superplactic import (
     validate,
     word_of,
 )
-from superplactic.tableau import skew_tableau_to_json
 
 from oracles import all_signatures, hook_length_count
 
@@ -311,15 +310,6 @@ class TestJson:
     def test_invalid_rows_rejected(self, mixed4):
         with pytest.raises(ValidationError):
             tableau_from_json({"shape": [2], "rows": [["3", "3"]]}, mixed4)
-
-    def test_skew_to_json(self, split24):
-        t = validate([["1", "1", "1", "6"], ["2", "4", "5"], ["3"]], split24)
-        _, t1 = split_by_threshold(t, 2)
-        assert skew_tableau_to_json(t1) == {
-            "outer": [4, 3, 1],
-            "inner": [3, 1],
-            "rows": [["6"], ["4", "5"], ["3"]],
-        }
 
 
 class TestSkewTableau:
