@@ -96,7 +96,7 @@ class SignedAlphabet:
 
     def symbol(self, i: int) -> str:
         if not 0 <= i < len(self.letters):
-            raise ForeignLetterError("letter index %d out of range" % i)
+            raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
         return self.letters[i]
 
     def parity_of(self, symbol: str) -> int:

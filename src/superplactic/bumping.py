@@ -29,8 +29,8 @@ the cell they add, and `_unbump_row` and `_unbump_col` take the row whose
 last cell they remove (for a column deletion, the bottom cell of its
 column).  Their traces hold 0-based (row, column, letter index) steps.  The
 public functions keep 1-based rows and columns: an insertion reports the row
-(or column) of the last cell of its trace, and a deletion takes a row (or
-column) index.
+(or column) of the cell it adds, and a deletion takes a row (or column)
+index.  Only the `*_trace` insertions record the bumping chain.
 
 The module-level functions are pure: they copy the input tableau and return
 fresh objects.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import AlphabetMismatchError, CornerError
+from .errors import AlphabetMismatchError, CornerError, _excerpt
 from .tableau import Tableau, Word
 
 Trace = tuple[tuple[int, int, int], ...]
@@ -133,15 +133,17 @@ def _unbump_col(rows: list[list[int]], r: int, col_next: tuple[int, ...]) -> int
     return x
 
 
-def _insert(tableau: Tableau, x: str, bump, table: tuple[int, ...]) -> tuple[Tableau, Trace]:
-    """Run one insertion on a copy of the rows; returns the new tableau and
-    the bumping chain as 1-based (row, column, symbol) placements, the added
-    cell last."""
+def _insert(tableau: Tableau, x: str, bump, table: tuple[int, ...],
+            traced: bool) -> tuple[Tableau, int, int, Trace | None]:
+    """Run one insertion on a copy of the rows; returns the new tableau, the
+    1-based row and column of the added cell and, when traced, the bumping
+    chain as 1-based (row, column, symbol) placements, the added cell last."""
     alphabet = tableau.alphabet
     rows = [list(r) for r in tableau.rows]
-    steps: list[tuple[int, int, int]] = []
-    bump(rows, alphabet.index(x), table, steps)
-    return Tableau(alphabet, rows), tuple((r + 1, c + 1, alphabet.symbol(v)) for r, c, v in steps)
+    steps: list[tuple[int, int, int]] | None = [] if traced else None
+    r = bump(rows, alphabet.index(x), table, steps)
+    trace = None if steps is None else tuple((i + 1, j + 1, alphabet.symbol(v)) for i, j, v in steps)
+    return Tableau(alphabet, rows), r + 1, len(rows[r]), trace
 
 
 def _delete(tableau: Tableau, unbump, r: int, table: tuple[int, ...]) -> tuple[Tableau, str]:
@@ -155,15 +157,15 @@ def _delete(tableau: Tableau, unbump, r: int, table: tuple[int, ...]) -> tuple[T
 def row_insert(tableau: Tableau, x: str) -> tuple[Tableau, int]:
     """Row insert the letter x; returns the new tableau and the 1-based row
     index where the bumping chain ended."""
-    t, i, _ = row_insert_trace(tableau, x)
+    t, i, _, _ = _insert(tableau, x, _bump_row, tableau.alphabet.col_next, False)
     return t, i
 
 
 def row_insert_trace(tableau: Tableau, x: str) -> tuple[Tableau, int, Trace]:
     """Like row_insert, also returning the bumping chain as a tuple of
     (row, column, symbol) placements, the final appended cell included."""
-    t, trace = _insert(tableau, x, _bump_row, tableau.alphabet.col_next)
-    return t, trace[-1][0], trace
+    t, i, _, trace = _insert(tableau, x, _bump_row, tableau.alphabet.col_next, True)
+    return t, i, trace
 
 
 def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
@@ -172,7 +174,7 @@ def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
     letter."""
     rows = tableau.rows
     if not 1 <= i <= len(rows):
-        raise CornerError("row %d does not exist" % i)
+        raise CornerError("row %s does not exist" % _excerpt(i))
     if not _is_corner(rows, i - 1):
         raise CornerError("the last cell of row %d is not a removable corner" % i)
     return _delete(tableau, _unbump_row, i - 1, tableau.alphabet.row_next)
@@ -181,15 +183,15 @@ def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
 def col_insert(x: str, tableau: Tableau) -> tuple[Tableau, int]:
     """Column insert the letter x; returns the new tableau and the 1-based
     column index where the bumping chain ended."""
-    t, j, _ = col_insert_trace(x, tableau)
+    t, _, j, _ = _insert(tableau, x, _bump_col, tableau.alphabet.row_next, False)
     return t, j
 
 
 def col_insert_trace(x: str, tableau: Tableau) -> tuple[Tableau, int, Trace]:
     """Like col_insert, also returning the bumping chain as (row, column,
     symbol) placements."""
-    t, trace = _insert(tableau, x, _bump_col, tableau.alphabet.row_next)
-    return t, trace[-1][1], trace
+    t, _, j, trace = _insert(tableau, x, _bump_col, tableau.alphabet.row_next, True)
+    return t, j, trace
 
 
 def col_delete(tableau: Tableau, j: int) -> tuple[Tableau, str]:
@@ -199,7 +201,7 @@ def col_delete(tableau: Tableau, j: int) -> tuple[Tableau, str]:
     rows = tableau.rows
     h = sum(len(row) >= j for row in rows)
     if j < 1 or h == 0:
-        raise CornerError("column %d does not exist" % j)
+        raise CornerError("column %s does not exist" % _excerpt(j))
     if len(rows[h - 1]) != j:
         raise CornerError("the bottom cell of column %d is not a removable corner" % j)
     return _delete(tableau, _unbump_col, h - 1, tableau.alphabet.col_next)

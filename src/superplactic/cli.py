@@ -104,6 +104,27 @@ def _parse_shape(text: str):
     return as_partition(parts)
 
 
+class _Integer(click.IntRange):
+    """click's integer type, at least `min` when given, whose usage errors
+    cut the offending value through _excerpt."""
+
+    @property
+    def name(self) -> str:  # --help shows INTEGER, and no range, without a min
+        return "integer" if self.min is None else "integer range"
+
+    def _describe_range(self) -> str:
+        return "" if self.min is None else super()._describe_range()
+
+    def convert(self, value, param, ctx):
+        try:
+            number = int(value)
+        except ValueError:  # not an integer, or past the integer-conversion limit
+            self.fail("%s is not a valid %s." % (_excerpt(value), self.name), param, ctx)
+        if self.min is not None and number < self.min:
+            self.fail("%s is not in the range %s." % (_excerpt(number), self._describe_range()), param, ctx)
+        return number
+
+
 def _file_option(flag: str, required: bool = True, help: str | None = None):
     """An existing JSON file, passed to the command as `<flag>_path`."""
     dest = flag.lstrip("-").replace("-", "_") + "_path"
@@ -194,7 +215,7 @@ def insert_cmd(mode, tableau_path, letters, alphabet_path):
 
 @_command("delete")
 @_mode_option("row", "col")
-@click.option("--index", required=True, type=int, help="Row (or column) index, 1-based.")
+@click.option("--index", required=True, type=_Integer(), help="Row (or column) index, 1-based.")
 @_file_option("--tableau")
 @_alphabet_option
 def delete_cmd(mode, index, tableau_path, alphabet_path):
@@ -234,9 +255,9 @@ def normal_form_cmd(word, alphabet_path):
 
 @_command("class")
 @_word_option
-@click.option("--limit", default=50, show_default=True, type=click.IntRange(min=0),
+@click.option("--limit", default=50, show_default=True, type=_Integer(min=0),
               help="Print at most this many members.")
-@click.option("--max-len", default=DEFAULT_MAX_WORD_LEN, show_default=True,
+@click.option("--max-len", default=DEFAULT_MAX_WORD_LEN, show_default=True, type=_Integer(),
               help="Word length bound for the search.")
 @_alphabet_option
 def class_cmd(word, limit, max_len, alphabet_path):
@@ -256,7 +277,7 @@ def class_cmd(word, limit, max_len, alphabet_path):
 
 @_command("greene")
 @_word_option
-@click.option("--k", required=True, type=click.IntRange(min=1))
+@click.option("--k", required=True, type=_Integer(min=1))
 @_mode_option("row", "col", "shape")
 @_alphabet_option
 def greene_cmd(word, k, mode, alphabet_path):
@@ -308,7 +329,7 @@ def symmetry_cmd(array_path, alphabet_l_path, alphabet_p_path):
 
 @_command("probe")
 @_alphabet_pair_options()
-@click.option("--max-cols", required=True, type=click.IntRange(min=0))
+@click.option("--max-cols", required=True, type=_Integer(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, writable=True),
               help="JSON-lines file, one record per array.")
 def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
@@ -335,7 +356,7 @@ def probe_cmd(alphabet_l_path, alphabet_p_path, max_cols, out_path):
 
 @_command("pieri")
 @click.option("--shape", required=True, help="Comma-separated partition, e.g. 2,1.")
-@click.option("--p", required=True, type=click.IntRange(min=0))
+@click.option("--p", required=True, type=_Integer(min=0))
 @_mode_option("row", "col")
 @_alphabet_option
 def pieri_cmd(shape, p, mode, alphabet_path):
@@ -360,12 +381,7 @@ def main(argv=None):
     """Entry point with the documented exit codes."""
     try:
         return cli.main(args=argv, prog_name="superplactic", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(2)
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors exit 2, file errors 1
         exc.show()
         sys.exit(exc.exit_code)
     except (SuperplacticError, UnicodeError) as exc:

@@ -23,6 +23,13 @@ def _excerpt(value) -> str:
     return "%s... (%d characters)" % (text[:40], len(text))
 
 
+def _bound_error(template: str, observed, limit, setting: str) -> "BoundExceededError":
+    """The error for a broken size bound: the template with {observed} and
+    {limit} cut by _excerpt and {setting} as given, carrying all three."""
+    message = template.format(observed=_excerpt(observed), limit=_excerpt(limit), setting=setting)
+    return BoundExceededError(message, observed=observed, limit=limit, setting=setting)
+
+
 class SuperplacticError(Exception):
     """Base class for all domain errors raised by this package."""
 

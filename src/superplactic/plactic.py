@@ -26,9 +26,10 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .bumping import tableau_of_word
-from .errors import AlphabetMismatchError, BoundExceededError, _excerpt
+from .errors import AlphabetMismatchError, _bound_error
 from .shape import conjugate_partition
 from .tableau import Tableau, Word, word_of
 
@@ -99,22 +100,18 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     variable SUPERPLACTIC_MAX_STATES overrides the latter default).
     """
     if len(word) > max_len:
-        raise BoundExceededError(
-            "word of length %d exceeds the class search bound %d" % (len(word), max_len),
-            observed=len(word), limit=max_len, setting="max_len",
-        )
-    states_setting = "max_states"
+        raise _bound_error("word of length {observed} exceeds the class search bound {limit}",
+                           len(word), max_len, "max_len")
+    setting = "max_states"
     if max_states is None:
-        states_setting = MAX_STATES_ENV
-        value = os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
+        setting, value = MAX_STATES_ENV, os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
         try:
             max_states = int(value)
         except ValueError:
             max_states = 0
         if max_states < 1:
-            raise BoundExceededError("%s must be an integer of at least 1, got %s"
-                                     % (MAX_STATES_ENV, _excerpt(value)),
-                                     observed=value, limit=1, setting=MAX_STATES_ENV)
+            raise _bound_error("{setting} must be an integer of at least {limit}, got {observed}",
+                               value, 1, setting)
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next
@@ -125,10 +122,8 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
             if v not in seen:
                 seen.add(v)
                 if len(seen) > max_states:
-                    raise BoundExceededError(
-                        "class search exceeded %d states" % max_states,
-                        observed=len(seen), limit=max_states, setting=states_setting,
-                    )
+                    raise _bound_error("class search exceeded {limit} states",
+                                       len(seen), max_states, setting)
                 todo.append(v)
     return {Word.from_indices(alphabet, xs) for xs in seen}
 
@@ -179,27 +174,29 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     choice leaves.  A state that is pointwise no larger than another, with
     as many ends and at least the same total, can follow each of its moves
     (skip, new subword, extend the end of the same rank) and stay pointwise
-    no larger, so the dominated choices never give a larger l_k.  Column
-    words are the mirror image: a column word ending at e accepts x exactly
-    when e >= col_next[x], larger ends accept more, and the smallest such
-    end is replaced.
+    no larger, so the dominated choices never give a larger l_k.
+
+    Column mode is the same sweep: a column word read backwards is a row word
+    over the conjugate alphabet, whose col_next is row_next.
 
     A state is packed into one int.  Each of the n distinct letters of the
     word owns a field of w = k_eff.bit_length() bits that counts the
     subwords ending at it (never more than k_eff, so the field cannot
     overflow), and the number of subwords sits in the bits above every
-    field.  In row mode the r-th smallest letter owns field r;
-    in column mode the order is reversed and it owns field n - 1 - r.
-    Either way the ends that x can extend fill the fields below one limit,
-    and the end to replace is the one that holds the highest set bit below
-    that limit, so one bit_length finds it.
+    field.  The r-th smallest letter owns field r, so the ends that x can
+    extend fill the fields below one limit, and the end to replace is the
+    one that holds the highest set bit below that limit: one bit_length
+    finds it.
     """
-    if mode not in ("row", "col"):
+    if mode == "row":
+        letters, accepts = word.letters, word.alphabet.col_next
+    elif mode == "col":
+        letters, accepts = word.letters[::-1], word.alphabet.row_next
+    else:
         raise ValueError("mode must be 'row' or 'col'")
     if max_k < 0:
         raise ValueError("max_k must be at least 0")
-    col_next = word.alphabet.col_next
-    present = sorted(set(word.letters))
+    present = sorted(set(letters))
     n = len(present)
     k_eff = min(max_k, len(word))
     w = k_eff.bit_length()
@@ -209,12 +206,11 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     # per letter: its own unit, a new subword ending at it, and the fields it can extend
     steps = {}
     for r, x in enumerate(present):
-        j = bisect_left(present, col_next[x])  # the present letters below col_next[x]
-        f, limit = (r, j) if mode == "row" else (n - 1 - r, n - j)
-        steps[x] = (unit[f], unit[n] + unit[f], unit[limit] - 1)
+        j = bisect_left(present, accepts[x])  # the present letters below accepts[x]
+        steps[x] = (unit[r], unit[n] + unit[r], unit[j] - 1)
     cap = k_eff << top
     states = {0: 0}
-    for x in word.letters:
+    for x in letters:
         ux, grow, below = steps[x]
         new = dict(states)
         for s, total in states.items():
@@ -234,12 +230,8 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
         k = s >> top
         if total > best[k]:
             best[k] = total
-    out = []
-    run = 0
-    for k in range(1, k_eff + 1):
-        run = max(run, best[k])
-        out.append(run)
-    return tuple(out) + (run,) * (max_k - k_eff)
+    run = tuple(accumulate(best, max))  # run[k]: the best total over at most k subwords
+    return run[1:] + run[-1:] * (max_k - k_eff)
 
 
 def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
@@ -249,10 +241,8 @@ def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
         raise ValueError("k must be at least 1")
     bound = (10 if k <= 3 else 8) if max_len is None else max_len
     if len(word) > bound:
-        raise BoundExceededError(
-            "word of length %d exceeds the Greene search bound %d" % (len(word), bound),
-            observed=len(word), limit=bound, setting="max_len",
-        )
+        raise _bound_error("word of length {observed} exceeds the Greene search bound {limit}",
+                           len(word), bound, "max_len")
     # l_k = l_L for k >= L = len(word), so a huge k costs no more than k = L
     return greene_profile(word, min(k, len(word) or 1), mode)[-1]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
 from .bumping import row_insert_word
-from .errors import AlphabetMismatchError, BoundExceededError
+from .errors import AlphabetMismatchError, _bound_error
 from .shape import (
     SkewDiagram,
     as_partition,
@@ -157,10 +157,8 @@ def pieri_check(
         raise ValueError("p must be nonnegative")
     n = sum(lam) + p
     if n > max_cells:
-        raise BoundExceededError(
-            "total size %d exceeds the Pieri bound %d" % (n, max_cells),
-            observed=n, limit=max_cells, setting="max_cells",
-        )
+        raise _bound_error("total size {observed} exceeds the Pieri bound {limit}",
+                           n, max_cells, "max_cells")
     left = ring_product(
         s_lambda(lam, alphabet),
         s_row(p, alphabet) if mode == "row" else s_col(p, alphabet),

@@ -39,11 +39,11 @@ from .bumping import (
     tableau_of_word,
 )
 from .errors import (
-    BoundExceededError,
     CornerError,
     HypothesisError,
     ShapeError,
     ValidationError,
+    _bound_error,
     _excerpt,
 )
 from .plactic import DEFAULT_MAX_WORD_LEN
@@ -213,10 +213,8 @@ def class_size(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN) -> int:
     """Number of words congruent to this one: the count of standard fillings
     of the shape of its tableau."""
     if len(word) > max_len:
-        raise BoundExceededError(
-            "word of length %d exceeds the class size bound %d" % (len(word), max_len),
-            observed=len(word), limit=max_len, setting="max_len",
-        )
+        raise _bound_error("word of length {observed} exceeds the class size bound {limit}",
+                           len(word), max_len, "max_len")
     return enumerate_standard(tableau_of_word(word).shape)
 
 
@@ -431,9 +429,7 @@ def symmetry_probe(
     for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols):
         report.total += 1
         if report.total > max_arrays:
-            raise BoundExceededError("probe exceeded %d arrays" % max_arrays,
-                                     observed=report.total, limit=max_arrays,
-                                     setting="max_arrays")
+            raise _bound_error("probe exceeded {limit} arrays", report.total, max_arrays, "max_arrays")
         # The walk kept the first len(cols) - 1 columns, so the rows of
         # that prefix are on the stack: copy them and insert the last one.
         del stack[len(cols):]

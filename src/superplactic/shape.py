@@ -29,10 +29,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def cells(lam: Iterable[int]) -> Iterator[tuple[int, int]]:
     """Cells of the diagram in row-major order, 1-based."""
-    lam = as_partition(lam)
-    for i, row_len in enumerate(lam, start=1):
-        for j in range(1, row_len + 1):
-            yield (i, j)
+    yield from SkewDiagram(lam, ()).cells()
 
 
 def conjugate_partition(lam: Iterable[int]) -> Partition:

@@ -57,7 +57,7 @@ class Word:
         n = len(alphabet)
         for i in indices:
             if not 0 <= i < n:
-                raise ForeignLetterError("letter index %d out of range" % i)
+                raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
         w = cls.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "letters", indices)
@@ -155,11 +155,9 @@ class SkewTableau:
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
 
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
-    def symbol_rows(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.alphabet.to_symbols(r) for r in self.rows)
+    # the cells present hold their letters row by row, as in a Tableau
+    size = Tableau.size
+    symbol_rows = Tableau.symbol_rows
 
     def __repr__(self) -> str:
         return "SkewTableau(%r/%r: %s)" % (
@@ -179,7 +177,7 @@ def _check_cells(rows: Sequence[Sequence[int]], inner: Sequence[int], alphabet: 
     for i, row in enumerate(rows):
         for x in row:
             if not 0 <= x < n:
-                raise ForeignLetterError("letter index %d out of range" % x)
+                raise ForeignLetterError("letter index %s out of range" % _excerpt(x))
         for j in range(len(row) - 1):
             if row[j + 1] < row_next[row[j]]:
                 cell = (i + 1, inner[i] + j + 2)
@@ -260,7 +258,8 @@ def split_by_threshold(tableau: Tableau, k: int) -> tuple[Tableau, SkewTableau]:
     """
     alphabet = tableau.alphabet
     if not 0 <= k <= len(alphabet):
-        raise AlphabetError("threshold %d out of range for an alphabet of size %d" % (k, len(alphabet)))
+        raise AlphabetError("threshold %s out of range for an alphabet of size %d"
+                            % (_excerpt(k), len(alphabet)))
     lam = tableau.shape
     prefixes = []
     suffixes = []

@@ -1,17 +1,26 @@
 """Every size bound names what it saw, the limit it broke and the setting
-that raises it, and keeps its message."""
+that raises it, and keeps its message; a huge integer argument is cut in
+the message of its domain error."""
 
 import pytest
 
 from superplactic import (
+    AlphabetError,
     BoundExceededError,
+    CornerError,
+    ForeignLetterError,
+    Tableau,
     Word,
+    check_tableau,
     class_size,
+    col_delete,
     greene_col,
     greene_row,
     make_alphabet,
     pieri_check,
     plactic_class,
+    row_delete,
+    split_by_threshold,
     symmetry_probe,
 )
 from superplactic.plactic import MAX_STATES_ENV
@@ -76,3 +85,36 @@ def test_bound_names_its_setting(name, monkeypatch):
         call()
     assert str(info.value) == message
     assert (info.value.observed, info.value.limit, info.value.setting) == (observed, limit, setting)
+
+
+_HUGE = 10**5000  # past Python's default limit on integer-to-string conversion
+
+
+def _tableau():
+    return Tableau(_mixed(), [[0, 1], [1]])
+
+
+# name: (a call with a huge integer argument, the domain error it raises)
+HUGE_CALLS = {
+    "class_size_max_len": (lambda: class_size(Word(_mixed(), ["1"]), max_len=-_HUGE), BoundExceededError),
+    "greene_row_max_len": (lambda: greene_row(Word(_mixed(), ["1"]), 1, max_len=-_HUGE), BoundExceededError),
+    "class_max_len": (lambda: plactic_class(Word(_mixed(), ["1"]), max_len=-_HUGE), BoundExceededError),
+    "class_max_states": (lambda: plactic_class(Word(_evens(), ["1", "2", "1"]), max_states=-_HUGE),
+                         BoundExceededError),
+    "probe_max_arrays": (lambda: symmetry_probe(_mixed(), _mixed(), 1, max_arrays=-_HUGE), BoundExceededError),
+    "pieri_shape": (lambda: pieri_check((_HUGE,), 1, _mixed()), BoundExceededError),
+    "row_delete": (lambda: row_delete(_tableau(), _HUGE), CornerError),
+    "col_delete": (lambda: col_delete(_tableau(), _HUGE), CornerError),
+    "alphabet_symbol": (lambda: _mixed().symbol(_HUGE), ForeignLetterError),
+    "word_from_indices": (lambda: Word.from_indices(_mixed(), [_HUGE]), ForeignLetterError),
+    "check_tableau": (lambda: check_tableau(Tableau(_mixed(), [[_HUGE]])), ForeignLetterError),
+    "split_by_threshold": (lambda: split_by_threshold(_tableau(), _HUGE), AlphabetError),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CALLS)
+def test_huge_integer_gives_a_short_domain_error(name):
+    call, error = HUGE_CALLS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 200

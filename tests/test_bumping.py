@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superplactic.bumping
 from superplactic import (
     AlphabetMismatchError,
     CornerError,
@@ -192,6 +193,27 @@ class TestTraces:
         assert j == 4
         assert trace == ((1, 1, "1"), (1, 2, "1"), (1, 3, "1"), (1, 4, "3"))
         assert t1.symbol_rows() == (("1", "1", "1", "3"), ("2", "3"))
+
+    def test_plain_inserts_match_traced_and_record_nothing(self, mixed4, monkeypatch):
+        """row_insert and col_insert return what their *_trace twins return,
+        less the trace, and hand the bumping primitive no list to record in."""
+        asked = []
+
+        def spy(bump):
+            def run(rows, x, table, trace=None):
+                asked.append(trace)
+                return bump(rows, x, table, trace)
+            return run
+
+        for name in ("_bump_row", "_bump_col"):
+            monkeypatch.setattr(superplactic.bumping, name, spy(getattr(superplactic.bumping, name)))
+        for t in small_tableaux(mixed4, 4):
+            for x in mixed4.letters:
+                assert row_insert(t, x) == row_insert_trace(t, x)[:2]
+                assert col_insert(x, t) == col_insert_trace(x, t)[:2]
+        plain, traced = asked[0::2], asked[1::2]
+        assert plain == [None] * len(traced)
+        assert all(isinstance(steps, list) for steps in traced)
 
     def test_row_routes_move_weakly_left(self, mixed4):
         par = dict(zip(mixed4.letters, mixed4.parities))

@@ -433,6 +433,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.encode()) < 1024
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["huge", "negative"])
+    @pytest.mark.parametrize(
+        "option, args",
+        [
+            ("--index", ["delete", "--tableau", "{tableau}", "--alphabet", "{mixed4}"]),
+            ("--p", ["pieri", "--shape", "1", "--alphabet", "{mixed4}"]),
+            ("--k", ["greene", "--word", "1", "--alphabet", "{mixed4}"]),
+            ("--limit", ["class", "--word", "1", "--alphabet", "{mixed4}"]),
+            ("--max-cols", ["probe", "--alphabet-l", "{mixed2}", "--alphabet-p", "{mixed2}",
+                            "--out", "{dir}/records.jsonl"]),
+            ("--max-len", ["class", "--word", "1", "--alphabet", "{mixed4}"]),
+        ],
+    )
+    def test_huge_integer_option_is_cut(self, files, capsys, option, args, sign):
+        # 5,000 digits fail the integer parse under the default conversion
+        # limit; 4,000 parse, and fail the option's range or the library.
+        value = "1" * 5000 if sign == "" else "-" + "1" * 4000
+        code, stdout, err = run_cli([a.format(**files) for a in args] + [option, value], capsys)
+        domain = sign == "-" and option in ("--index", "--max-len")
+        assert (code, stdout) == (1 if domain else 2, "")
+        assert "Traceback" not in err
+        assert len(err.splitlines()[-1]) < 200
+        assert len(err.encode()) < 400
+
     def test_probe_out_in_missing_directory_exit_one(self, files, capsys):
         out = files["dir"] / "no" / "such" / "records.jsonl"
         args = ["probe", "--alphabet-l", files["mixed2"], "--alphabet-p", files["mixed2"], "--max-cols", "1",

@@ -1,0 +1,110 @@
+"""The paper's theorems on random inputs far past the exhaustive domains.
+
+Each check is seeded and compares the package with `oracles` only: the
+symmetry theorem on arrays of hundreds of columns, Knuth moves keeping the
+tableau of words of up to 120 letters, the correspondence against the
+oracle's insertion, and Greene's theorem on words of up to 300 letters.
+"""
+
+import random
+
+import pytest
+
+from superplactic import (
+    Word,
+    check_susy,
+    greene_profile,
+    make_alphabet,
+    rsk_forward,
+    tableau_of_word,
+    validate_array,
+)
+
+from oracles import signed_knuth_neighbors, super_rsk
+
+
+def _alphabet(rng, size, parities=None):
+    """`size` letters with the given parities, else random ones of which
+    at least one is 0 and one is 1 (for size >= 2)."""
+    if parities is None:
+        parities = [rng.randint(0, 1) for _ in range(size)]
+        if size > 1 and len(set(parities)) == 1:
+            parities[rng.randrange(size)] ^= 1
+    return make_alphabet([str(i) for i in range(size)], parities)
+
+
+def _random_array(rng, top, bottom, length, even_only=False):
+    """A random array of `length` columns.  A column of pair parity 1 never
+    repeats, and with even_only there is none."""
+    pairs, odd = [], set()
+    while len(pairs) < length:
+        p = (rng.randrange(len(top)), rng.randrange(len(bottom)))
+        if (top.parities[p[0]] + bottom.parities[p[1]]) % 2:
+            if even_only or p in odd:
+                continue
+            odd.add(p)
+        pairs.append(p)
+    pairs.sort(key=lambda ab: (ab[1], ab[0]))
+    return validate_array([(top.letters[a], bottom.letters[b]) for a, b in pairs], top, bottom)
+
+
+def _aligned_alphabet(rng, first):
+    """2-16 letters: a block of parity `first`, then a block of the other
+    parity, each block nonempty."""
+    size = rng.randint(2, 16)
+    split = rng.randint(1, size - 1)
+    return _alphabet(rng, size, [first] * split + [1 - first] * (size - split))
+
+
+def test_symmetry_theorem_on_long_aligned_arrays():
+    """Aligned alphabets and columns of pair parity 0: check_susy holds, and
+    the oracle's correspondence of the involution is the pair (U, T)."""
+    rng = random.Random(2009)
+    for _ in range(25):
+        first = rng.randint(0, 1)
+        top, bottom = _aligned_alphabet(rng, first), _aligned_alphabet(rng, first)
+        array = _random_array(rng, top, bottom, rng.randint(50, 400), even_only=True)
+        assert check_susy(array) is True
+        t, u = super_rsk(array.pairs, top.parities, bottom.parities)
+        # the involution swaps each column, then sorts into product order
+        swapped = sorted(((b, a) for a, b in array.pairs), key=lambda ba: (ba[1], ba[0]))
+        assert super_rsk(swapped, bottom.parities, top.parities) == (u, t)
+
+
+def test_knuth_moves_keep_the_tableau_of_long_words():
+    rng = random.Random(5)
+    for _ in range(10):
+        alphabet = _alphabet(rng, rng.randint(3, 12))
+        xs = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(40, 120)))
+        tableau = tableau_of_word(Word.from_indices(alphabet, xs))
+        for _ in range(30):
+            moves = sorted(signed_knuth_neighbors(xs, alphabet.parities))
+            if not moves:
+                break
+            xs = rng.choice(moves)
+            assert tableau_of_word(Word.from_indices(alphabet, xs)) == tableau
+
+
+def test_forward_matches_oracle_on_long_arrays():
+    rng = random.Random(7)
+    for _ in range(12):
+        top, bottom = _alphabet(rng, rng.randint(2, 12)), _alphabet(rng, rng.randint(2, 12))
+        array = _random_array(rng, top, bottom, rng.randint(100, 700))
+        t, u = rsk_forward(array)
+        assert (t.rows, u.rows) == super_rsk(array.pairs, top.parities, bottom.parities)
+
+
+@pytest.mark.parametrize("mode", ["row", "col"])
+def test_greene_profile_is_the_oracle_shape_on_long_words(mode):
+    """l_1..l_3 are the partial sums of the shape of the oracle's insertion
+    tableau, or of its conjugate in column mode."""
+    rng = random.Random(17)
+    for _ in range(12):
+        alphabet = _alphabet(rng, rng.randint(2, 10))
+        xs = [rng.randrange(len(alphabet)) for _ in range(rng.randint(100, 300))]
+        t, _ = super_rsk([(x, 0) for x in xs], alphabet.parities, (0,))
+        shape = [len(row) for row in t]
+        if mode == "col":
+            shape = [sum(part > j for part in shape) for j in range(shape[0])]
+        sums = tuple(sum(shape[:k]) for k in (1, 2, 3))
+        assert greene_profile(Word.from_indices(alphabet, xs), 3, mode) == sums
