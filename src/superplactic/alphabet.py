@@ -95,7 +95,7 @@ class SignedAlphabet:
             raise ForeignLetterError("letter %s is not in the alphabet" % _excerpt(symbol)) from None
 
     def symbol(self, i: int) -> str:
-        if not 0 <= i < len(self.letters):
+        if not isinstance(i, int) or not 0 <= i < len(self.letters):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
         return self.letters[i]
 

@@ -173,7 +173,7 @@ def row_delete(tableau: Tableau, i: int) -> tuple[Tableau, str]:
     run the bumping chain backwards; returns the new tableau and the ejected
     letter."""
     rows = tableau.rows
-    if not 1 <= i <= len(rows):
+    if not isinstance(i, int) or not 1 <= i <= len(rows):
         raise CornerError("row %s does not exist" % _excerpt(i))
     if not _is_corner(rows, i - 1):
         raise CornerError("the last cell of row %d is not a removable corner" % i)
@@ -199,8 +199,8 @@ def col_delete(tableau: Tableau, j: int) -> tuple[Tableau, str]:
     and run the column bumping chain backwards; returns the new tableau and
     the ejected letter."""
     rows = tableau.rows
-    h = sum(len(row) >= j for row in rows)
-    if j < 1 or h == 0:
+    h = sum(len(row) >= j for row in rows) if isinstance(j, int) else 0
+    if h == 0 or j < 1:
         raise CornerError("column %s does not exist" % _excerpt(j))
     if len(rows[h - 1]) != j:
         raise CornerError("the bottom cell of column %d is not a removable corner" % j)

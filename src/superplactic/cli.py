@@ -150,6 +150,13 @@ def cli() -> None:
     """Tableaux over signed alphabets: bumping, plactic classes, RSK."""
 
 
+def _stream(name: str):
+    """The text stream click.echo would pick for sys.stdout or sys.stderr,
+    wrapped afresh: click's own choice caches the wrapper under the stream
+    it wraps, which keeps every stream a caller redirects into alive."""
+    return click.get_text_stream(name, errors=None)
+
+
 def _command(name: str):
     """Register a command whose body returns (record, text).
 
@@ -160,7 +167,8 @@ def _command(name: str):
         @functools.wraps(body)
         def run(as_json, **kwargs):
             record, text = body(**kwargs)
-            click.echo(json.dumps(record, indent=2, sort_keys=True) if as_json else text)
+            click.echo(json.dumps(record, indent=2, sort_keys=True) if as_json else text,
+                       file=_stream("stdout"))
 
         command = cli.command(name)(run)
         command.params.append(click.Option(["--json", "as_json"], is_flag=True,
@@ -387,10 +395,10 @@ def main(argv=None):
     except (SuperplacticError, UnicodeError) as exc:
         # An input file that is not UTF-8, or a letter the output stream
         # cannot encode (a lone surrogate from a JSON escape), is bad input.
-        click.echo("%s: %s" % (type(exc).__name__, exc), err=True)
+        click.echo("%s: %s" % (type(exc).__name__, exc), file=_stream("stderr"))
         sys.exit(1)
     except json.JSONDecodeError as exc:
-        click.echo("invalid JSON input: %s" % exc, err=True)
+        click.echo("invalid JSON input: %s" % exc, file=_stream("stderr"))
         sys.exit(1)
 
 

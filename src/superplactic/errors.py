@@ -23,6 +23,13 @@ def _excerpt(value) -> str:
     return "%s... (%d characters)" % (text[:40], len(text))
 
 
+def _require_int(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is an int, so that
+    a float size or index fails as bad input rather than deep inside."""
+    if not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %s" % (name, _excerpt(value)))
+
+
 def _bound_error(template: str, observed, limit, setting: str) -> "BoundExceededError":
     """The error for a broken size bound: the template with {observed} and
     {limit} cut by _excerpt and {setting} as given, carrying all three."""

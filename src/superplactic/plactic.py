@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .bumping import tableau_of_word
-from .errors import AlphabetMismatchError, _bound_error
+from .errors import AlphabetMismatchError, _bound_error, _require_int
 from .shape import conjugate_partition
 from .tableau import Tableau, Word, word_of
 
@@ -102,16 +102,16 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     if len(word) > max_len:
         raise _bound_error("word of length {observed} exceeds the class search bound {limit}",
                            len(word), max_len, "max_len")
-    setting = "max_states"
+    setting, value = "max_states", max_states
     if max_states is None:
         setting, value = MAX_STATES_ENV, os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
         try:
             max_states = int(value)
         except ValueError:
             max_states = 0
-        if max_states < 1:
-            raise _bound_error("{setting} must be an integer of at least {limit}, got {observed}",
-                               value, 1, setting)
+    if not isinstance(max_states, int) or max_states < 1:
+        raise _bound_error("{setting} must be an integer of at least {limit}, got {observed}",
+                           value, 1, setting)
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next
@@ -194,6 +194,7 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
         letters, accepts = word.letters[::-1], word.alphabet.row_next
     else:
         raise ValueError("mode must be 'row' or 'col'")
+    _require_int("max_k", max_k)
     if max_k < 0:
         raise ValueError("max_k must be at least 0")
     present = sorted(set(letters))
@@ -237,6 +238,7 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
 def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
     """l_k(w) in the given mode, for words within the length bound (by
     default 10 for k <= 3, else 8)."""
+    _require_int("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     bound = (10 if k <= 3 else 8) if max_len is None else max_len
@@ -261,6 +263,7 @@ def greene_via_shape(word: Word, k: int, mode: str = "row") -> int:
     """Greene invariant read off the tableau shape: the sum of the first k
     parts of the shape of the tableau of w, or of its conjugate in column
     mode."""
+    _require_int("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     lam = tableau_of_word(word).shape

@@ -10,12 +10,13 @@ over shapes obtained by adding a horizontal (or vertical) strip.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
-from .bumping import row_insert_word
-from .errors import AlphabetMismatchError, _bound_error
+from .bumping import _bump_row, row_insert_word
+from .errors import AlphabetMismatchError, _bound_error, _require_int
 from .shape import (
     SkewDiagram,
     as_partition,
@@ -24,7 +25,7 @@ from .shape import (
     is_vertical_strip,
     partitions,
 )
-from .tableau import Tableau, enumerate_tableaux, word_of
+from .tableau import Tableau, _fillings, enumerate_tableaux, word_of
 
 DEFAULT_MAX_PIERI_CELLS = 12
 
@@ -95,6 +96,7 @@ def s_lambda(lam: Iterable[int], alphabet: SignedAlphabet) -> FormalSum:
 
 def s_row(p: int, alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all single-row tableaux with p cells (all row words of length p)."""
+    _require_int("p", p)
     if p < 0:
         raise ValueError("p must be nonnegative")
     return s_lambda((p,) if p else (), alphabet)
@@ -103,6 +105,7 @@ def s_row(p: int, alphabet: SignedAlphabet) -> FormalSum:
 def s_col(p: int, alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all single-column tableaux with p cells (all column words of
     length p, read bottom to top)."""
+    _require_int("p", p)
     if p < 0:
         raise ValueError("p must be nonnegative")
     return s_lambda((1,) * p, alphabet)
@@ -147,34 +150,47 @@ def pieri_check(
 
     In row mode the right side is the sum of s_mu over shapes mu obtained
     from lam by adding p cells with no two in the same column; column mode
-    uses s_col and strips with no two cells in the same row.  Returns the
-    verdict and a per-shape census of both sides.
+    uses s_col and strips with no two cells in the same row.  Every
+    coefficient is 1 and both sides live over one alphabet, so each side is
+    a multiset of tableaux, counted here as rows of letter indices: the left
+    side row inserts the reading word of each row (or column) filling into
+    each filling of lam.  Returns the verdict and a per-shape census of both
+    sides.
     """
     lam = as_partition(lam)
     if mode not in ("row", "col"):
         raise ValueError("mode must be 'row' or 'col'")
+    _require_int("p", p)
     if p < 0:
         raise ValueError("p must be nonnegative")
     n = sum(lam) + p
     if n > max_cells:
         raise _bound_error("total size {observed} exceeds the Pieri bound {limit}",
                            n, max_cells, "max_cells")
-    left = ring_product(
-        s_lambda(lam, alphabet),
-        s_row(p, alphabet) if mode == "row" else s_col(p, alphabet),
-    )
+    col_next = alphabet.col_next
+    one_shape = ((p,) if mode == "row" else (1,) * p) if p else ()
+    words = [
+        tuple([x for row in reversed(rows) for x in row])  # the reading word, bottom row up
+        for rows in _fillings(one_shape, alphabet)
+    ]
+    left: Counter[tuple[tuple[int, ...], ...]] = Counter()
+    for base in _fillings(lam, alphabet):
+        for word in words:
+            rows = [list(r) for r in base]
+            for x in word:
+                _bump_row(rows, x, col_next)
+            left[tuple([tuple(r) for r in rows])] += 1
     strip_ok = is_horizontal_strip if mode == "row" else is_vertical_strip
-    right = FormalSum(alphabet, [
-        (t, 1)
+    right = Counter(
+        rows
         for mu in partitions(n)
         if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))
-        for t in enumerate_tableaux(mu, alphabet)
-    ])
+        for rows in _fillings(mu, alphabet)
+    )
     shapes: dict[tuple[int, ...], list[int]] = {}
-    for t, c in left._terms.items():
-        shapes.setdefault(t.shape, [0, 0])[0] += c
-    for t, c in right._terms.items():
-        shapes.setdefault(t.shape, [0, 0])[1] += c
+    for side, terms in enumerate((left, right)):
+        for rows, c in terms.items():
+            shapes.setdefault(tuple(map(len, rows)), [0, 0])[side] += c
     by_shape = tuple(
         (shp, counts[0], counts[1]) for shp, counts in sorted(shapes.items())
     )

@@ -276,43 +276,49 @@ def split_by_threshold(tableau: Tableau, k: int) -> tuple[Tableau, SkewTableau]:
     return t0, t1
 
 
-def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator[Tableau]:
-    """All super semistandard tableaux of the given shape, each exactly once.
+def _fillings(lam: Partition, alphabet: SignedAlphabet) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The super semistandard fillings of a partition, as tuples of index
+    rows.
 
     Cells are filled in row-major order trying letters in alphabet order, so
     the output order is deterministic.
     """
-    lam = as_partition(lam)
     row_next = alphabet.row_next
     col_next = alphabet.col_next
     n = len(alphabet)
     rows = [[-1] * L for L in lam]
     cell_list = [(i, j) for i, L in enumerate(lam) for j in range(L)]
     size = len(cell_list)
-
-    def fill() -> Iterator[Tableau]:
-        pos = x = 0  # the cell to fill next and the smallest letter it may take
-        while True:
-            if pos == size:
-                yield Tableau(alphabet, rows)
-                x = n
-            # With no letter left, step back a cell and try its next letter.
-            while x == n:
-                if pos == 0:
-                    return
-                pos -= 1
-                i, j = cell_list[pos]
-                x = rows[i][j] + 1
+    pos = x = 0  # the cell to fill next and the smallest letter it may take
+    while True:
+        if pos == size:
+            yield tuple([tuple(r) for r in rows])
+            x = n
+        # With no letter left, step back a cell and try its next letter.
+        while x == n:
+            if pos == 0:
+                return
+            pos -= 1
             i, j = cell_list[pos]
-            rows[i][j] = x
-            pos += 1
-            if pos < size:
-                i, j = cell_list[pos]
-                x = row_next[rows[i][j - 1]] if j > 0 else 0
-                if i > 0:
-                    x = max(x, col_next[rows[i - 1][j]])
+            x = rows[i][j] + 1
+        i, j = cell_list[pos]
+        rows[i][j] = x
+        pos += 1
+        if pos < size:
+            i, j = cell_list[pos]
+            x = row_next[rows[i][j - 1]] if j > 0 else 0
+            if i > 0:
+                x = max(x, col_next[rows[i - 1][j]])
 
-    return fill()
+
+def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator[Tableau]:
+    """All super semistandard tableaux of the given shape, each exactly once,
+    in a deterministic order.
+
+    The shape is checked at call time, before the first tableau is asked for.
+    """
+    lam = as_partition(lam)
+    return (Tableau(alphabet, rows) for rows in _fillings(lam, alphabet))
 
 
 def enumerate_standard(lam: Iterable[int]) -> int:

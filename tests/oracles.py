@@ -211,3 +211,32 @@ def _scan_col_insert(rows, x, parities):
             rows[i].append(x)
             return i, j
         j += 1
+
+
+def super_tableau_count(lam, parities):
+    """Number of super semistandard fillings of the diagram lam over letters
+    with the given parities, in alphabet order.
+
+    The cells holding the first i letters form a diagram, so a filling is a
+    chain of diagrams from the empty one up to lam: a parity-0 letter adds
+    a horizontal strip (no two cells in one column), a parity-1 letter a
+    vertical strip (no two cells in one row).  Counts the chains by a
+    dynamic program over the letters, never building a filling.
+    """
+    lam = tuple(lam)
+    r = len(lam)
+    inside = [mu for mu in itertools.product(*(range(part + 1) for part in lam))
+              if all(a >= b for a, b in zip(mu, mu[1:]))]
+
+    def horizontal(mu, nu):
+        return (all(m <= n for m, n in zip(mu, nu))
+                and all(nu[i + 1] <= mu[i] for i in range(r - 1)))
+
+    def vertical(mu, nu):
+        return all(0 <= n - m <= 1 for m, n in zip(mu, nu))
+
+    counts = {(0,) * r: 1}
+    for parity in parities:
+        strip = vertical if parity else horizontal
+        counts = {nu: sum(c for mu, c in counts.items() if strip(mu, nu)) for nu in inside}
+    return counts.get(lam, 0)

@@ -15,11 +15,15 @@ from superplactic import (
     class_size,
     col_delete,
     greene_col,
+    greene_profile,
     greene_row,
+    greene_via_shape,
     make_alphabet,
     pieri_check,
     plactic_class,
     row_delete,
+    s_col,
+    s_row,
     split_by_threshold,
     symmetry_probe,
 )
@@ -43,6 +47,14 @@ SITES = {
     "class_states_argument": (
         {}, lambda: plactic_class(Word(_evens(), ["1", "2", "1"]), max_states=1),
         "class search exceeded 1 states", 2, 1, "max_states",
+    ),
+    "class_states_zero_argument": (
+        {}, lambda: plactic_class(Word(_evens(), ["1", "2", "1"]), max_states=0),
+        "max_states must be an integer of at least 1, got 0", 0, 1, "max_states",
+    ),
+    "class_states_fractional_argument": (
+        {MAX_STATES_ENV: "5"}, lambda: plactic_class(Word(_evens(), ["1", "2", "1"]), max_states=2.5),
+        "max_states must be an integer of at least 1, got 2.5", 2.5, 1, "max_states",
     ),
     "class_states_environment": (
         {MAX_STATES_ENV: "1"}, lambda: plactic_class(Word(_evens(), ["1", "2", "1"])),
@@ -118,3 +130,35 @@ def test_huge_integer_gives_a_short_domain_error(name):
     with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 200
+
+
+# name: (a call with a non-integer size or index, the error type the same
+# call raises for an integer out of range, and the message naming the value)
+NON_INTEGER_CALLS = {
+    "greene_row_k": (lambda: greene_row(Word(_mixed(), ["1", "2"]), 1.5), ValueError,
+                     "k must be an integer, got 1.5"),
+    "greene_col_k": (lambda: greene_col(Word(_mixed(), ["1", "2"]), 2.0), ValueError,
+                     "k must be an integer, got 2.0"),
+    "greene_via_shape_k": (lambda: greene_via_shape(Word(_mixed(), ["1", "2"]), 1.5), ValueError,
+                           "k must be an integer, got 1.5"),
+    "greene_profile_max_k": (lambda: greene_profile(Word(_mixed(), ["1", "2"]), 2.0), ValueError,
+                             "max_k must be an integer, got 2.0"),
+    "pieri_p": (lambda: pieri_check((2, 1), 1.5, _mixed()), ValueError, "p must be an integer, got 1.5"),
+    "pieri_col_p": (lambda: pieri_check((2, 1), 1.5, _mixed(), mode="col"), ValueError,
+                    "p must be an integer, got 1.5"),
+    "s_row_p": (lambda: s_row(1.5, _mixed()), ValueError, "p must be an integer, got 1.5"),
+    "s_col_p": (lambda: s_col(1.5, _mixed()), ValueError, "p must be an integer, got 1.5"),
+    "row_delete": (lambda: row_delete(_tableau(), 1.5), CornerError, "row 1.5 does not exist"),
+    "row_delete_whole_float": (lambda: row_delete(_tableau(), 2.0), CornerError, "row 2.0 does not exist"),
+    "col_delete": (lambda: col_delete(_tableau(), 1.5), CornerError, "column 1.5 does not exist"),
+    "col_delete_text": (lambda: col_delete(_tableau(), "1"), CornerError, "column '1' does not exist"),
+    "alphabet_symbol": (lambda: _mixed().symbol(0.5), ForeignLetterError, "letter index 0.5 out of range"),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_CALLS)
+def test_non_integer_gives_the_out_of_range_error(name):
+    call, error, message = NON_INTEGER_CALLS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import inspect
 import io
 import json
 import os
 import sys
 import tempfile
+import weakref
 
 import click
 import pytest
@@ -368,6 +370,25 @@ class TestProbeAndPieri:
         assert blob["p"] == 2
         for row in blob["by_shape"]:
             assert row["left"] == row["right"]
+
+    def test_in_process_calls_release_their_streams(self, files):
+        """A caller that redirects output into a fresh stream per call gets
+        every stream back: none is kept alive by the CLI."""
+        pieri = ["pieri", "--shape", "2,1", "--p", "1", "--alphabet", files["mixed2"], "--json"]
+        bad = ["pieri", "--shape", "2,1", "--p", "1", "--alphabet", files["bad_tableau"]]
+        refs = []
+        for args in [pieri] * 50 + [bad] * 5:
+            out, err = io.StringIO(), io.StringIO()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    main(args)
+                except SystemExit:
+                    pass
+            assert out.getvalue() or err.getvalue()
+        del out, err
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0
 
 
 class TestExitCodes:

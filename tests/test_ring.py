@@ -21,6 +21,8 @@ from superplactic import (
     word_of,
 )
 
+from oracles import all_signatures, super_tableau_count
+
 
 class TestFormalSum:
     def test_terms_sorted_and_deterministic(self, evens3):
@@ -152,6 +154,24 @@ class TestPieri:
             for lam in partitions(n):
                 for p in (1, 2):
                     assert pieri_check(lam, p, mixed4, mode="row").equal is True
+
+    def test_right_side_counts_match_the_strip_oracle(self):
+        for sig in all_signatures(3):
+            alphabet = make_alphabet(["1", "2", "3"], list(sig))
+            for n in range(5):
+                for lam in partitions(n):
+                    for p in (1, 2):
+                        for mode in ("row", "col"):
+                            report = pieri_check(lam, p, alphabet, mode=mode)
+                            strip_ok = is_horizontal_strip if mode == "row" else is_vertical_strip
+                            expected = {
+                                mu: super_tableau_count(mu, sig)
+                                for mu in partitions(n + p)
+                                if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))
+                            }
+                            right = {shape: r for shape, _, r in report.by_shape}
+                            assert right == {mu: c for mu, c in expected.items() if c}, (sig, lam, p, mode)
+                            assert report.equal is True
 
     def test_size_cap(self, mixed3):
         with pytest.raises(BoundExceededError):

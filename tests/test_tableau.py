@@ -29,7 +29,7 @@ from superplactic import (
     word_of,
 )
 
-from oracles import all_signatures, hook_length_count
+from oracles import all_signatures, hook_length_count, super_tableau_count
 
 
 def small_tableaux(alphabet, max_cells):
@@ -252,6 +252,26 @@ class TestEnumerate:
                     for lam in partitions(cells):
                         inside = (lam[m] if m < len(lam) else 0) <= n
                         assert (next(enumerate_tableaux(lam, alphabet), None) is not None) == inside, (sig, lam)
+
+    def test_bad_shape_fails_at_call_time(self, mixed4):
+        with pytest.raises(ShapeError):
+            enumerate_tableaux((1, 2), mixed4)
+
+    def test_counts_match_the_strip_oracle(self):
+        # every shape of at most 7 cells over every 3- and 4-letter signature
+        by_sizes = {}
+        for size in (3, 4):
+            for sig in all_signatures(size):
+                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                for cells in range(8):
+                    for lam in partitions(cells):
+                        count = sum(1 for _ in enumerate_tableaux(lam, alphabet))
+                        assert count == super_tableau_count(lam, sig), (sig, lam)
+                        by_sizes.setdefault((lam, sig.count(0), sig.count(1)), set()).add(count)
+        # the count depends on the numbers of even and odd letters only,
+        # not on where they sit in the order
+        assert all(len(counts) == 1 for counts in by_sizes.values())
+        assert len(by_sizes) == 45 * (4 + 5)
 
     def test_long_row_stays_off_the_recursion_limit(self):
         e = make_alphabet(["1"], [0])
