@@ -87,7 +87,7 @@ def knuth_neighbors(word: Word) -> set[Word]:
     """Words reachable from this one by a single elementary move."""
     alphabet = word.alphabet
     moves = _knuth_moves(word.letters, alphabet.row_next, alphabet.col_next)
-    return {Word.from_indices(alphabet, xs) for xs in moves}
+    return {Word._trusted(alphabet, xs) for xs in moves}
 
 
 def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
@@ -125,7 +125,7 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
                     raise _bound_error("class search exceeded {limit} states",
                                        len(seen), max_states, setting)
                 todo.append(v)
-    return {Word.from_indices(alphabet, xs) for xs in seen}
+    return {Word._trusted(alphabet, xs) for xs in seen}
 
 
 def canonical_word(word: Word) -> Word:

@@ -8,10 +8,14 @@ columns are allowed only when the pair parity |a| + |b| is 0.
 The forward map builds a pair of equal-shape tableaux (T, U): reading the
 columns left to right, the top letter a is row inserted into T when the
 bottom letter b has parity 0 and column inserted when b has parity 1, and b
-is then placed in U at the cell where T grew.  The inverse map peels the
-largest bottom letter back out of U, undoing a row deletion or a column
-deletion on T accordingly, until both tableaux are empty; sorting the
-recovered columns into the product order restores the array.
+is then placed in U at the cell where T grew.  U is checked cell by cell
+as it grows, each new cell against its left and upper neighbours.  U only
+ever gains a cell at the end of a row and never changes a placed one, so
+these checks together are the full tableau check of the final U.  The
+inverse map peels the largest bottom letter back out of U, undoing a row
+deletion or a column deletion on T accordingly, until both tableaux are
+empty; sorting the recovered columns into the product order restores the
+array.
 
 Swapping the two rows of every column and re-sorting gives the involution
 on arrays.  An array "has symmetry" when the involution exchanges the roles
@@ -20,8 +24,9 @@ guaranteed when both alphabets put all their parity-0 letters before all
 their parity-1 letters (or both the other way around) and every column has
 pair parity 0.  Outside those hypotheses `symmetry_probe` surveys what
 actually happens.  The probe carries the forward tableaux along its depth
-first walk over the arrays, so each array costs one insertion on the
-forward side, and only the involuted side runs the full correspondence.
+first walk over the arrays, so each array costs one insertion and the
+check of one cell of U on the forward side, and only the involuted side
+runs the full correspondence.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .bumping import (
 )
 from .errors import (
     CornerError,
+    ForeignLetterError,
     HypothesisError,
     ShapeError,
     ValidationError,
@@ -48,7 +54,7 @@ from .errors import (
 )
 from .plactic import DEFAULT_MAX_WORD_LEN
 from .shape import as_partition
-from .tableau import Tableau, Word, _check_index_rows, enumerate_standard
+from .tableau import Tableau, Word, _cell_error, enumerate_standard
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -137,17 +143,44 @@ def _forward_rows(
     bottom_alphabet: SignedAlphabet,
 ) -> None:
     """Extend the index rows of (T, U) by the columns `pairs`, in order,
-    then check that U is still a tableau over the bottom alphabet."""
+    checking each cell of U as it is placed.
+
+    U grows only by one cell at the end of a row, and a placed cell never
+    changes.  So every letter of U, and every pair of neighbouring cells,
+    is checked exactly once, when the later cell is placed: its letter
+    against the bottom alphabet, and the cell against its left neighbour
+    (the row condition) and its upper neighbour (the column condition,
+    and that the row above reaches over it).  That is the check of
+    `check_tableau` on the final U, with the shape checked after every
+    cell rather than once; rows that were checked before the call, such
+    as a prefix's rows in the probe, are not checked again.
+    """
     ppar = bottom_alphabet.parities
+    n = len(ppar)
+    prow = bottom_alphabet.row_next
+    pcol = bottom_alphabet.col_next
     row_next = top_alphabet.row_next
     col_next = top_alphabet.col_next
     for a, b in pairs:
+        if not (isinstance(b, int) and 0 <= b < n):
+            raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
         r = _bump_row(trows, a, col_next) if ppar[b] == 0 else _bump_col(trows, a, row_next)
         if r == len(urows):
+            j = 0
             urows.append([b])
         else:
-            urows[r].append(b)
-    _check_index_rows(urows, bottom_alphabet)
+            row = urows[r]
+            j = len(row)
+            if b < prow[row[-1]]:
+                raise _cell_error("row", r + 1, j + 1)
+            row.append(b)
+        if r:
+            above = urows[r - 1]
+            if j >= len(above):
+                raise ShapeError("row lengths must weakly decrease, got %s"
+                                 % _excerpt([len(u) for u in urows]))
+            if b < pcol[above[j]]:
+                raise _cell_error("column", r + 1, j + 1)
 
 
 def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:

@@ -56,11 +56,18 @@ class Word:
         indices = tuple(indices)
         n = len(alphabet)
         for i in indices:
-            if not 0 <= i < n:
+            if not (isinstance(i, int) and 0 <= i < n):
                 raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
+        return cls._trusted(alphabet, indices)
+
+    @classmethod
+    def _trusted(cls, alphabet: SignedAlphabet, letters: tuple[int, ...]) -> "Word":
+        """The word on a tuple of letter indices known to lie in the
+        alphabet, such as a rearrangement of another word's letters;
+        nothing is checked."""
         w = cls.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", indices)
+        object.__setattr__(w, "letters", letters)
         return w
 
     @property
@@ -167,22 +174,28 @@ class SkewTableau:
         )
 
 
+def _cell_error(condition: str, i: int, j: int) -> ValidationError:
+    """The error for the 1-based cell (i, j), whose letter breaks the "row"
+    or the "column" condition."""
+    return ValidationError("%s condition fails at cell (%d, %d)" % (condition, i, j),
+                           cell=(i, j), condition=condition)
+
+
 def _check_cells(rows: Sequence[Sequence[int]], inner: Sequence[int], alphabet: SignedAlphabet) -> None:
-    """Raise unless the letters are in range and satisfy the row and column
-    conditions, where row i starts right of the first inner[i] cells
-    (zeros for a straight shape).  Cells are reported 1-based."""
+    """Raise unless the letters are integer indices in range and satisfy
+    the row and column conditions, where row i starts right of the first
+    inner[i] cells (zeros for a straight shape).  Cells are reported
+    1-based."""
     n = len(alphabet)
     row_next = alphabet.row_next
     col_next = alphabet.col_next
     for i, row in enumerate(rows):
         for x in row:
-            if not 0 <= x < n:
+            if not (isinstance(x, int) and 0 <= x < n):
                 raise ForeignLetterError("letter index %s out of range" % _excerpt(x))
         for j in range(len(row) - 1):
             if row[j + 1] < row_next[row[j]]:
-                cell = (i + 1, inner[i] + j + 2)
-                raise ValidationError("row condition fails at cell (%d, %d)" % cell,
-                                      cell=cell, condition="row")
+                raise _cell_error("row", i + 1, inner[i] + j + 2)
     # Both shapes are partitions, so rows i and i + 1 share the columns
     # from inner[i] up to the end of the lower row.
     for i in range(len(rows) - 1):
@@ -190,9 +203,7 @@ def _check_cells(rows: Sequence[Sequence[int]], inner: Sequence[int], alphabet: 
         du, dl = inner[i], inner[i + 1]
         for j in range(du, dl + len(lower)):
             if lower[j - dl] < col_next[upper[j - du]]:
-                cell = (i + 2, j + 1)
-                raise ValidationError("column condition fails at cell (%d, %d)" % cell,
-                                      cell=cell, condition="column")
+                raise _cell_error("column", i + 2, j + 1)
 
 
 def _check_index_rows(rows: Sequence[Sequence[int]], alphabet: SignedAlphabet) -> None:
@@ -257,7 +268,7 @@ def split_by_threshold(tableau: Tableau, k: int) -> tuple[Tableau, SkewTableau]:
     the original alphabet.
     """
     alphabet = tableau.alphabet
-    if not 0 <= k <= len(alphabet):
+    if not (isinstance(k, int) and 0 <= k <= len(alphabet)):
         raise AlphabetError("threshold %s out of range for an alphabet of size %d"
                             % (_excerpt(k), len(alphabet)))
     lam = tableau.shape

@@ -3,7 +3,8 @@
 Each check is seeded and compares the package with `oracles` only: the
 symmetry theorem on arrays of hundreds of columns, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
-oracle's insertion, and Greene's theorem on words of up to 300 letters.
+oracle's insertion, the bumping lemmas on tableaux of up to 100 cells, and
+Greene's theorem on words of up to 300 letters.
 """
 
 import random
@@ -11,16 +12,20 @@ import random
 import pytest
 
 from superplactic import (
+    Tableau,
     Word,
     check_susy,
+    check_tableau,
+    col_insert,
     greene_profile,
     make_alphabet,
+    row_insert,
     rsk_forward,
     tableau_of_word,
     validate_array,
 )
 
-from oracles import signed_knuth_neighbors, super_rsk
+from oracles import _scan_col_insert, _scan_row_insert, signed_knuth_neighbors, super_rsk
 
 
 def _alphabet(rng, size, parities=None):
@@ -108,3 +113,48 @@ def test_greene_profile_is_the_oracle_shape_on_long_words(mode):
             shape = [sum(part > j for part in shape) for j in range(shape[0])]
         sums = tuple(sum(shape[:k]) for k in (1, 2, 3))
         assert greene_profile(Word.from_indices(alphabet, xs), 3, mode) == sums
+
+
+def _added_cell(tableau, x, mode):
+    """Insert the symbol x by row or column insertion; returns the new
+    tableau and the 1-based cell that was added."""
+    if mode == "row":
+        grown, i = row_insert(tableau, x)
+        return grown, (i, grown.shape[i - 1])
+    grown, j = col_insert(x, tableau)
+    return grown, (sum(part >= j for part in grown.shape), j)
+
+
+@pytest.mark.parametrize("mode", ["row", "col"])
+def test_bumping_lemmas_on_random_tableaux(mode):
+    """Criterion 07 on tableaux of 30-100 cells, built by the oracle's row
+    insertion of random letters: insert x, then x2.  The second added cell
+    lies strictly right of the first (row mode) or strictly below it
+    (column mode) exactly when x < x2, or x = x2 of parity 0 (row) or 1
+    (column), and then weakly above it (row) or weakly left of it
+    (column).  Both added cells are the oracle's."""
+    rng = random.Random(1307)
+    scan = _scan_row_insert if mode == "row" else _scan_col_insert
+    tie_parity = 0 if mode == "row" else 1
+    for _ in range(60):
+        alphabet = _alphabet(rng, rng.randint(2, 12))
+        par = alphabet.parities
+        rows = []
+        for _ in range(rng.randint(30, 100)):
+            _scan_row_insert(rows, rng.randrange(len(alphabet)), par)
+        tableau = check_tableau(Tableau(alphabet, rows))
+        for _ in range(10):
+            x = rng.randrange(len(alphabet))
+            x2 = x if rng.random() < 0.3 else rng.randrange(len(alphabet))
+            grown, (i, j) = _added_cell(tableau, alphabet.letters[x], mode)
+            _, (i2, j2) = _added_cell(grown, alphabet.letters[x2], mode)
+            oracle_rows = [list(row) for row in rows]
+            assert scan(oracle_rows, x, par) == (i - 1, j - 1)
+            assert scan(oracle_rows, x2, par) == (i2 - 1, j2 - 1)
+            follows = x < x2 or (x == x2 and par[x] == tie_parity)
+            if mode == "row":
+                assert (j < j2) == follows
+                assert not follows or i >= i2
+            else:
+                assert (i < i2) == follows
+                assert not follows or j >= j2

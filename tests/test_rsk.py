@@ -12,6 +12,7 @@ import superplactic.rsk
 from superplactic import (
     BoundExceededError,
     CornerError,
+    ForeignLetterError,
     HypothesisError,
     ShapeError,
     Tableau,
@@ -144,6 +145,79 @@ class TestForward:
             assert t == tableau_of_word(w)
             entries = sorted(s for row in u.symbol_rows() for s in row)
             assert entries == [str(i) for i in range(1, len(w) + 1)]
+
+    @pytest.mark.parametrize("pairs, cell, condition", [
+        ([(0, 1), (0, 0)], (1, 2), "row"),
+        ([(1, 0), (0, 0)], (2, 1), "column"),
+    ])
+    def test_u_fault_names_its_cell(self, evens3, pairs, cell, condition):
+        """Trusted unsorted arrays whose U breaks one condition: rsk_forward
+        names the cell and the condition that check_tableau names on the
+        oracle's U, in the same words."""
+        message = "%s condition fails at cell (%d, %d)" % ((condition,) + cell)
+        _, u_rows = super_rsk(pairs, evens3.parities, evens3.parities)
+        with pytest.raises(ValidationError) as full:
+            check_tableau(Tableau(evens3, u_rows))
+        with pytest.raises(ValidationError) as per_cell:
+            rsk_forward(TwoRowedArray(evens3, evens3, pairs))
+        for exc in (full, per_cell):
+            assert str(exc.value) == message
+            assert (exc.value.cell, exc.value.condition) == (cell, condition)
+
+    @pytest.mark.parametrize("bottom", [3, -1, 0.5, 1.0])
+    def test_foreign_bottom_letter(self, evens3, bottom):
+        with pytest.raises(ForeignLetterError, match="letter index .* out of range"):
+            rsk_forward(TwoRowedArray(evens3, evens3, [(0, 0), (1, bottom)]))
+
+    def test_row_longer_than_the_row_above(self, monkeypatch, evens3):
+        """No insertion grows T off a partition shape, so a bump that puts
+        the cells in rows 0, 1, 1 is patched in: the third cell makes row
+        2 of U longer than row 1."""
+        rows = iter([0, 1, 1])
+        monkeypatch.setattr(superplactic.rsk, "_bump_row", lambda trows, a, col_next: next(rows))
+        with pytest.raises(ShapeError, match=r"row lengths must weakly decrease, got \[1, 2\]"):
+            rsk_forward(TwoRowedArray(evens3, evens3, [(0, 0), (0, 1), (0, 1)]))
+
+
+def test_per_cell_check_is_the_full_check():
+    """On seeded trusted arrays of 1-12 columns over 1-4 letters, unsorted,
+    or sorted and free to repeat a pair of parity 1, rsk_forward raises exactly
+    when check_tableau rejects the oracle's U; otherwise it returns the
+    oracle's pair, and when it raises, the cell it names breaks the
+    condition it names in the oracle's U."""
+    rng = random.Random(1313)
+    outcomes = {True: 0, False: 0}
+    for _ in range(4000):
+        top, bottom = (make_alphabet("abcd"[:k], [rng.randint(0, 1) for _ in range(k)])
+                       for k in (rng.randint(1, 4), rng.randint(1, 4)))
+        pairs = [(rng.randrange(len(top)), rng.randrange(len(bottom)))
+                 for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.5:
+            pairs.sort(key=lambda ab: (ab[1], ab[0]))
+        t_rows, u_rows = super_rsk(pairs, top.parities, bottom.parities)
+        try:
+            check_tableau(Tableau(bottom, u_rows))
+            accepted = True
+        except ValidationError:
+            accepted = False
+        outcomes[accepted] += 1
+        array = TwoRowedArray(top, bottom, pairs)
+        if accepted:
+            t, u = rsk_forward(array)
+            assert (t.rows, u.rows) == (t_rows, u_rows)
+            continue
+        with pytest.raises(ValidationError) as exc:
+            rsk_forward(array)
+        i, j = exc.value.cell
+        x = u_rows[i - 1][j - 1]
+        par = bottom.parities
+        if exc.value.condition == "row":
+            left = u_rows[i - 1][j - 2]
+            assert j > 1 and (left > x or (left == x and par[x] == 1))
+        else:
+            up = u_rows[i - 2][j - 1]
+            assert i > 1 and (up > x or (up == x and par[x] == 0))
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 class TestInverse:
@@ -386,20 +460,27 @@ class TestProbe:
     def test_census_of_small_signatures(self):
         """Every array over the pair is symmetric only when both alphabets
         are constant, with the same constant, up to the parity of each
-        one's smallest letter.  Checked on all pairs of 2-letter signatures
-        up to 6 columns and all pairs of 3-letter ones up to 4."""
-        for size, max_cols in ((2, 6), (3, 4)):
+        one's smallest letter: 8 pairs for each size.  Checked on all pairs
+        of 2-letter signatures up to 6 columns, all pairs of 3-letter ones
+        up to 4, and all 256 pairs of 4-letter ones up to 3 (213,248
+        arrays)."""
+        for size, max_cols, arrays in ((2, 6, 1472), (3, 4, 30496), (4, 3, 213248)):
             alphabets = [make_alphabet([str(i + 1) for i in range(size)], list(sig))
                          for sig in all_signatures(size)]
             all_symmetric = set()
+            total = 0
             for top in alphabets:
                 for bottom in alphabets:
-                    counts = symmetry_probe(top, bottom, max_cols).counts
+                    report = symmetry_probe(top, bottom, max_cols)
+                    total += report.total
+                    counts = report.counts
                     if counts[(True, False)] + counts[(False, False)] == 0:
                         all_symmetric.add((top.parities, bottom.parities))
             kinds = [{(0,) + (c,) * (size - 1), (1,) + (c,) * (size - 1)} for c in (0, 1)]
             expected = {(a, b) for kind in kinds for a in kind for b in kind}
+            assert len(expected) == 8
             assert all_symmetric == expected, size
+            assert total == arrays, size
 
     def test_against_oracle_on_small_signatures(self):
         """On every pair of signatures of 1-3 letters up to 3 columns:
@@ -431,27 +512,29 @@ class TestProbe:
 
     @pytest.mark.parametrize("side", ["forward", "involuted"])
     def test_both_sides_validate_u(self, monkeypatch, side):
-        """The check of U runs on each side for every array: a check that
-        fails on a nonempty U over one side's alphabet stops the probe and
-        has_symmetry at the first nonempty array."""
+        """Each side checks every cell it places in its U: a letter of U
+        foreign to that side's alphabet stops the probe and has_symmetry at
+        the first nonempty array.  The walk never makes such a letter, so
+        it is patched in.  The letter -1 is foreign to both alphabets, and
+        no check reads T, so as a bottom letter it reaches only the forward
+        U and as a top letter only the involuted U; the traceback shows
+        which side raised."""
         top = make_alphabet(["1", "2"], [0, 1])
         bottom = make_alphabet(["x", "y"], [1, 0])
-        checked = {"forward": bottom, "involuted": top}[side]
-        check = superplactic.rsk._check_index_rows
-
-        def failing(rows, alphabet):
-            if rows and alphabet == checked:
-                raise RuntimeError("check of U ran")
-            check(rows, alphabet)
-
-        monkeypatch.setattr(superplactic.rsk, "_check_index_rows", failing)
+        bad = {"forward": (0, -1), "involuted": (-1, 1)}[side]
+        monkeypatch.setattr(superplactic.rsk, "_column_walk",
+                            lambda top, bottom, max_cols: iter([[], [bad], [bad, (1, 1)]]))
         records = []
-        with pytest.raises(RuntimeError, match="check of U ran"):
+        with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as probe:
             symmetry_probe(top, bottom, 2, sink=records.append)
         assert records == [{"top": [], "bottom": [], "hypothesis": False, "symmetric": True}]
         assert has_symmetry(TwoRowedArray(top, bottom, ()))
-        with pytest.raises(RuntimeError, match="check of U ran"):
-            has_symmetry(TwoRowedArray(top, bottom, [(0, 0)]))
+        with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as single:
+            has_symmetry(TwoRowedArray(top, bottom, [bad]))
+        for exc in (probe, single):
+            frames = [entry.name for entry in exc.traceback]
+            assert frames[-1] == "_forward_rows"
+            assert ("_involution_swaps" in frames) == (side == "involuted")
 
     def test_negative_max_cols_raises_on_call(self, mixed2):
         with pytest.raises(ValueError):

@@ -67,6 +67,13 @@ class TestWord:
         with pytest.raises(ForeignLetterError):
             Word.from_indices(mixed4, [7])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+    def test_from_indices_rejects_non_integers(self, mixed4, bad):
+        """A letter index is an int: a float in range, even a whole one, is
+        as foreign as an index past the end."""
+        with pytest.raises(ForeignLetterError, match="letter index .* out of range"):
+            Word.from_indices(mixed4, [0, bad])
+
     def test_equality_and_hash(self, mixed4):
         assert Word(mixed4, ["1", "3"]) == Word(mixed4, ["1", "3"])
         assert hash(Word(mixed4, ["1", "3"])) == hash(Word(mixed4, ["1", "3"]))
@@ -112,6 +119,13 @@ class TestValidate:
     def test_foreign_letter(self, mixed4):
         with pytest.raises(ForeignLetterError):
             validate([["1", "7"]], mixed4)
+
+    @pytest.mark.parametrize("rows", [[[0.5]], [[0, 1.0]], [[0], [2.5]]])
+    def test_check_tableau_rejects_non_integer_letters(self, mixed4, rows):
+        with pytest.raises(ForeignLetterError, match="letter index .* out of range"):
+            check_tableau(Tableau(mixed4, rows))
+        with pytest.raises(ForeignLetterError):
+            SkewTableau(mixed4, [len(r) for r in rows], (), rows)
 
     def test_first_violation_reported_row_major(self, mixed4):
         with pytest.raises(ValidationError) as exc:
@@ -195,6 +209,12 @@ class TestSplitByThreshold:
             split_by_threshold(t, 7)
         with pytest.raises(AlphabetError):
             split_by_threshold(t, -1)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2"])
+    def test_threshold_must_be_an_integer(self, split24, k):
+        t = validate([["1", "1", "1", "6"], ["2", "4", "5"], ["3"]], split24)
+        with pytest.raises(AlphabetError, match="threshold .* out of range"):
+            split_by_threshold(t, k)
 
     def test_pieces_partition_the_cells(self, mixed4):
         for t in small_tableaux(mixed4, 5):
