@@ -5,17 +5,17 @@ tableaux is the tableau of the concatenation of their reading words, and
 the product extends bilinearly to formal sums.  The sum of all tableaux of
 a fixed shape plays the role of a Schur function; the Pieri rule predicts
 its product with the sum over a single row (or a single column) as the sum
-over shapes obtained by adding a horizontal (or vertical) strip.
+over shapes obtained by adding a horizontal (or vertical) strip.  A sum
+holds its terms as rows of letter indices over its one alphabet.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
-from .bumping import _bump_row, row_insert_word
+from .bumping import _bump_row
 from .errors import AlphabetMismatchError, _bound_error, _require_int
 from .shape import (
     SkewDiagram,
@@ -25,9 +25,22 @@ from .shape import (
     is_vertical_strip,
     partitions,
 )
-from .tableau import Tableau, _fillings, enumerate_tableaux, word_of
+from .tableau import Tableau, _fillings
 
 DEFAULT_MAX_PIERI_CELLS = 12
+_Rows = tuple[tuple[int, ...], ...]  # the index rows of a tableau
+
+
+def _summed(terms: Iterable[tuple[_Rows, int]]) -> dict[_Rows, int]:
+    """Add up the coefficients of equal rows, dropping every zero sum."""
+    acc: dict[_Rows, int] = {}
+    for rows, coeff in terms:
+        c = acc.get(rows, 0) + coeff
+        if c:
+            acc[rows] = c
+        else:
+            acc.pop(rows, None)
+    return acc
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -38,60 +51,56 @@ class FormalSum:
     """
 
     alphabet: SignedAlphabet
-    _terms: dict[Tableau, int]
+    _terms: dict[_Rows, int]
 
     def __init__(self, alphabet: SignedAlphabet, terms: Iterable[tuple[Tableau, int]] = ()):
-        acc: dict[Tableau, int] = {}
-        for tableau, coeff in terms:
-            if tableau.alphabet != alphabet:
-                raise AlphabetMismatchError("term lives over a different alphabet")
-            c = acc.get(tableau, 0) + coeff
-            if c:
-                acc[tableau] = c
-            else:
-                acc.pop(tableau, None)
+        terms = list(terms)
+        if any(tableau.alphabet != alphabet for tableau, _ in terms):
+            raise AlphabetMismatchError("term lives over a different alphabet")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _summed((tableau.rows, c) for tableau, c in terms))
+
+    @classmethod
+    def _of_rows(cls, alphabet: SignedAlphabet, terms: Iterable[tuple[_Rows, int]]) -> "FormalSum":
+        """The sum of terms given as index rows of tableaux over the alphabet, unchecked."""
+        f = cls(alphabet)
+        object.__setattr__(f, "_terms", _summed(terms))
+        return f
 
     def terms(self) -> tuple[tuple[Tableau, int], ...]:
         """Terms sorted by shape and row content, for deterministic output."""
-        return tuple(sorted(self._terms.items(), key=lambda tc: (tc[0].shape, tc[0].rows)))
+        items = sorted(self._terms.items(), key=lambda rc: (tuple(map(len, rc[0])), rc[0]))
+        return tuple((Tableau(self.alphabet, rows), c) for rows, c in items)
 
     def coefficient(self, tableau: Tableau) -> int:
-        return self._terms.get(tableau, 0)
+        same = isinstance(tableau, Tableau) and tableau.alphabet == self.alphabet
+        return self._terms.get(tableau.rows, 0) if same else 0
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("sums live over different alphabets")
-        return FormalSum(self.alphabet, list(self._terms.items()) + list(other._terms.items()))
+        return FormalSum._of_rows(self.alphabet, [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return self + FormalSum(other.alphabet, [(t, -c) for t, c in other._terms.items()])
+        return self + FormalSum._of_rows(other.alphabet, [(r, -c) for r, c in other._terms.items()])
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "FormalSum(0)"
-        bits = []
-        for tableau, coeff in self.terms():
-            word = " ".join(" ".join(r) for r in tableau.symbol_rows())
-            bits.append("%+d [%s]" % (coeff, word))
-        return "FormalSum(%s)" % " ".join(bits)
+        bits = ["%+d [%s]" % (c, " ".join(" ".join(r) for r in t.symbol_rows()))
+                for t, c in self.terms()]
+        return "FormalSum(%s)" % (" ".join(bits) or "0")
 
 
 def s_lambda(lam: Iterable[int], alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all tableaux of the given shape, each with coefficient 1."""
     lam = as_partition(lam)
-    return FormalSum(alphabet, ((t, 1) for t in enumerate_tableaux(lam, alphabet)))
+    return FormalSum._of_rows(alphabet, ((rows, 1) for rows in _fillings(lam, alphabet)))
 
 
 def s_row(p: int, alphabet: SignedAlphabet) -> FormalSum:
@@ -117,10 +126,19 @@ def ring_product(f: FormalSum, g: FormalSum) -> FormalSum:
     word row inserted."""
     if f.alphabet != g.alphabet:
         raise AlphabetMismatchError("sums live over different alphabets")
-    gw = [(word_of(u), d) for u, d in g._terms.items()]
-    return FormalSum(f.alphabet, [
-        (row_insert_word(t, wu), c * d) for t, c in f._terms.items() for wu, d in gw
-    ])
+    col_next = f.alphabet.col_next
+    # each right term's reading word: its rows from the bottom row up
+    words = [(tuple([x for row in reversed(rows) for x in row]), d) for rows, d in g._terms.items()]
+
+    def products() -> Iterable[tuple[_Rows, int]]:
+        for base, c in f._terms.items():
+            for word, d in words:
+                rows = [list(r) for r in base]
+                for x in word:
+                    _bump_row(rows, x, col_next)
+                yield tuple([tuple(r) for r in rows]), c * d
+
+    return FormalSum._of_rows(f.alphabet, products())
 
 
 @dataclass(frozen=True)
@@ -145,17 +163,11 @@ def pieri_check(
     mode: str = "row",
     max_cells: int = DEFAULT_MAX_PIERI_CELLS,
 ) -> PieriReport:
-    """Compare the product of s_lambda with a row (or column) sum against
-    the strip expansion.
-
-    In row mode the right side is the sum of s_mu over shapes mu obtained
-    from lam by adding p cells with no two in the same column; column mode
-    uses s_col and strips with no two cells in the same row.  Every
-    coefficient is 1 and both sides live over one alphabet, so each side is
-    a multiset of tableaux, counted here as rows of letter indices: the left
-    side row inserts the reading word of each row (or column) filling into
-    each filling of lam.  Returns the verdict and a per-shape census of both
-    sides.
+    """Check the Pieri rule: ring_product(s_lambda(lam), s_row(p)) against
+    the sum of s_mu over the shapes mu that add a horizontal strip of p
+    cells to lam, or in column mode s_col(p) against vertical strips; both
+    sides are sums over index rows.  Returns the verdict and, per shape,
+    the term counts (with multiplicity) of both sides.
     """
     lam = as_partition(lam)
     if mode not in ("row", "col"):
@@ -167,33 +179,15 @@ def pieri_check(
     if n > max_cells:
         raise _bound_error("total size {observed} exceeds the Pieri bound {limit}",
                            n, max_cells, "max_cells")
-    col_next = alphabet.col_next
-    one_shape = ((p,) if mode == "row" else (1,) * p) if p else ()
-    words = [
-        tuple([x for row in reversed(rows) for x in row])  # the reading word, bottom row up
-        for rows in _fillings(one_shape, alphabet)
-    ]
-    left: Counter[tuple[tuple[int, ...], ...]] = Counter()
-    for base in _fillings(lam, alphabet):
-        for word in words:
-            rows = [list(r) for r in base]
-            for x in word:
-                _bump_row(rows, x, col_next)
-            left[tuple([tuple(r) for r in rows])] += 1
+    one = s_row(p, alphabet) if mode == "row" else s_col(p, alphabet)
+    left = ring_product(s_lambda(lam, alphabet), one)
     strip_ok = is_horizontal_strip if mode == "row" else is_vertical_strip
-    right = Counter(
-        rows
-        for mu in partitions(n)
-        if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))
-        for rows in _fillings(mu, alphabet)
-    )
+    strips = [mu for mu in partitions(n) if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))]
+    right = FormalSum._of_rows(alphabet, ((rows, 1) for mu in strips
+                                          for rows in _fillings(mu, alphabet)))
     shapes: dict[tuple[int, ...], list[int]] = {}
-    for side, terms in enumerate((left, right)):
-        for rows, c in terms.items():
+    for side, total in enumerate((left, right)):
+        for rows, c in total._terms.items():
             shapes.setdefault(tuple(map(len, rows)), [0, 0])[side] += c
-    by_shape = tuple(
-        (shp, counts[0], counts[1]) for shp, counts in sorted(shapes.items())
-    )
-    return PieriReport(
-        equal=(left == right), mode=mode, lam=lam, p=p, by_shape=by_shape
-    )
+    by_shape = tuple((shp, *counts) for shp, counts in sorted(shapes.items()))
+    return PieriReport(equal=(left == right), mode=mode, lam=lam, p=p, by_shape=by_shape)

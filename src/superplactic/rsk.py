@@ -51,6 +51,7 @@ from .errors import (
     ValidationError,
     _bound_error,
     _excerpt,
+    _require_int,
 )
 from .plactic import DEFAULT_MAX_WORD_LEN
 from .shape import as_partition
@@ -185,6 +186,7 @@ def _forward_rows(
 
 def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
     """The correspondence: array to an equal-shape tableau pair (T, U)."""
+    Word.from_indices(array.top_alphabet, [a for a, _ in array.pairs])  # checks the top letters
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
@@ -282,6 +284,7 @@ def has_symmetry(array: TwoRowedArray) -> bool:
     """Whether the involution swaps the two tableaux of the correspondence."""
     L = array.top_alphabet
     P = array.bottom_alphabet
+    Word.from_indices(L, [a for a, _ in array.pairs])  # checks the top letters
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, L, P)
@@ -365,6 +368,7 @@ def _column_walk(
     the order of `enumerate_arrays`, as one live list: each yield drops
     zero or more columns from the end of the list and then appends one,
     apart from the first, which yields the empty list."""
+    _require_int("max_cols", max_cols)
     if max_cols < 0:
         raise ValueError("max_cols must be nonnegative")
     pairs = [(a, b) for b in range(len(bottom_alphabet)) for a in range(len(top_alphabet))]

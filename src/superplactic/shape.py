@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import ShapeError, _excerpt
+from .errors import ShapeError, _excerpt, _require_int
 
 Partition = tuple[int, ...]
 
@@ -52,8 +52,12 @@ def contains(lam: Iterable[int], mu: Iterable[int]) -> bool:
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest part first, in lexicographically
     decreasing order."""
+    if not isinstance(n, int):
+        raise ShapeError("cannot partition %s, which is not an integer" % _excerpt(n))
     if n < 0:
         raise ShapeError("cannot partition a negative integer")
+    if max_part is not None:
+        _require_int("max_part", max_part)
     top = n if max_part is None else min(max_part, n)
     if top <= 0 < n:
         return

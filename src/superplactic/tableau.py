@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     _excerpt,
 )
-from .shape import Partition, as_partition, conjugate_partition, contains
+from .shape import Partition, SkewDiagram, as_partition, conjugate_partition
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -143,11 +143,8 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        outer = as_partition(self.outer)
-        inner = as_partition(self.inner)
-        if not contains(outer, inner):
-            raise ShapeError("inner shape %s not contained in outer shape %s"
-                             % (_excerpt(inner), _excerpt(outer)))
+        shape = SkewDiagram(self.outer, self.inner)
+        outer, inner = shape.outer, shape.inner
         rows = tuple(tuple(r) for r in self.rows)
         if len(rows) != len(outer):
             raise ShapeError("expected %d rows, got %d" % (len(outer), len(rows)))

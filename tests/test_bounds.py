@@ -9,16 +9,19 @@ from superplactic import (
     BoundExceededError,
     CornerError,
     ForeignLetterError,
+    ShapeError,
     Tableau,
     Word,
     check_tableau,
     class_size,
     col_delete,
+    enumerate_arrays,
     greene_col,
     greene_profile,
     greene_row,
     greene_via_shape,
     make_alphabet,
+    partitions,
     pieri_check,
     plactic_class,
     row_delete,
@@ -153,6 +156,15 @@ NON_INTEGER_CALLS = {
     "col_delete": (lambda: col_delete(_tableau(), 1.5), CornerError, "column 1.5 does not exist"),
     "col_delete_text": (lambda: col_delete(_tableau(), "1"), CornerError, "column '1' does not exist"),
     "alphabet_symbol": (lambda: _mixed().symbol(0.5), ForeignLetterError, "letter index 0.5 out of range"),
+    # partitions checks n and max_part where it checks a negative n: on the first next
+    "partitions_n": (lambda: next(partitions(2.5)), ShapeError,
+                     "cannot partition 2.5, which is not an integer"),
+    "partitions_max_part": (lambda: next(partitions(3, max_part=1.5)), ValueError,
+                            "max_part must be an integer, got 1.5"),
+    "enumerate_arrays_max_cols": (lambda: enumerate_arrays(_mixed(), _mixed(), 2.5), ValueError,
+                                  "max_cols must be an integer, got 2.5"),
+    "probe_max_cols": (lambda: symmetry_probe(_mixed(), _mixed(), 2.5), ValueError,
+                       "max_cols must be an integer, got 2.5"),
 }
 
 

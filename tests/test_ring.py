@@ -13,6 +13,7 @@ from superplactic import (
     partitions,
     pieri_check,
     ring_product,
+    row_insert_word,
     s_col,
     s_lambda,
     s_row,
@@ -120,6 +121,71 @@ class TestProduct:
         f = FormalSum(mixed3, [(t, 2)])
         prod = ring_product(f, f)
         assert all(c == 4 for _, c in prod.terms())
+
+
+def _reference_product(f, g):
+    """The product term by term through the public Tableau API: each right
+    term's reading word row inserted into each left term, summed in a dict
+    keyed by Tableau, zeros dropped, in the order of `terms()`."""
+    acc = {}
+    for t, c in f.terms():
+        for u, d in g.terms():
+            key = row_insert_word(t, word_of(u))
+            acc[key] = acc.get(key, 0) + c * d
+    return sorted(((t, c) for t, c in acc.items() if c), key=lambda tc: (tc[0].shape, tc[0].rows))
+
+
+class TestIndexRows:
+    def test_product_matches_the_tableau_reference(self):
+        """Every lam of at most 4 cells times s_row(p) and s_col(p), p <= 3,
+        over every signature of 1 to 3 letters, with the left terms scaled
+        by 2 and the right ones by -1."""
+        for k in (1, 2, 3):
+            for sig in all_signatures(k):
+                alphabet = make_alphabet([str(i) for i in range(1, k + 1)], list(sig))
+                for n in range(5):
+                    for lam in partitions(n):
+                        f = FormalSum(alphabet, [(t, 2) for t, _ in s_lambda(lam, alphabet).terms()])
+                        for p in range(4):
+                            for one in (s_row(p, alphabet), s_col(p, alphabet)):
+                                g = FormalSum(alphabet, [(u, -1) for u, _ in one.terms()])
+                                prod = ring_product(f, g)
+                                assert list(prod.terms()) == _reference_product(f, g), (sig, lam, p)
+                                for t, _ in prod.terms():
+                                    assert validate(t.symbol_rows(), alphabet) == t
+
+    def test_product_cancels_equal_terms(self, evens3):
+        """y . xz and yz . x are Knuth equivalent words (x < y <= z), so
+        with opposite signs their terms cancel in the product."""
+        x, y, z = (validate([[s]], evens3) for s in "123")
+        yz = validate([["2", "3"]], evens3)
+        xz = validate([["1", "3"]], evens3)
+        f = FormalSum(evens3, [(y, 1), (yz, -1)])
+        g = FormalSum(evens3, [(xz, 1), (x, 1)])
+        assert len(_reference_product(f, g)) == 2
+        prod = ring_product(f, g)
+        assert list(prod.terms()) == _reference_product(f, g)
+        assert prod.coefficient(tableau_of_word(word_of(y) + word_of(xz))) == 0
+        assert len(prod) == 2
+        assert ring_product(FormalSum(evens3, [(z, 1)]), f - f) == FormalSum(evens3)
+
+    def test_term_over_another_alphabet(self, evens3, mixed3):
+        t = validate([["1", "2"]], evens3)
+        same_rows = validate([["1", "2"]], mixed3)
+        assert same_rows.rows == t.rows
+        with pytest.raises(AlphabetMismatchError):
+            FormalSum(evens3, [(t, 1), (same_rows, 1)])
+        f = FormalSum(evens3, [(t, 3)])
+        assert f.coefficient(t) == 3
+        assert f.coefficient(same_rows) == 0
+
+    def test_terms_are_validated_tableaux(self, mixed3):
+        for lam in ((2, 1), (1, 1, 1), (3,)):
+            f = s_lambda(lam, mixed3) + s_row(2, mixed3) - s_col(1, mixed3)
+            for t, _ in f.terms():
+                assert validate(t.symbol_rows(), mixed3) == t
+            assert [t for t, _ in s_lambda(lam, mixed3).terms()] == sorted(
+                enumerate_tableaux(lam, mixed3), key=lambda t: t.rows)
 
 
 class TestPieri:

@@ -512,13 +512,17 @@ class TestProbe:
 
     @pytest.mark.parametrize("side", ["forward", "involuted"])
     def test_both_sides_validate_u(self, monkeypatch, side):
-        """Each side checks every cell it places in its U: a letter of U
-        foreign to that side's alphabet stops the probe and has_symmetry at
-        the first nonempty array.  The walk never makes such a letter, so
-        it is patched in.  The letter -1 is foreign to both alphabets, and
-        no check reads T, so as a bottom letter it reaches only the forward
-        U and as a top letter only the involuted U; the traceback shows
-        which side raised."""
+        """Each side checks every cell it places in its U: a fault in the U
+        of one side stops the probe and has_symmetry.  The probe's walk
+        never makes a foreign letter, so one is patched in: the letter -1
+        is foreign to both alphabets, and the probe checks no top letter,
+        so as a bottom letter it reaches only the forward U and as a top
+        letter only the involuted U.  has_symmetry checks its top letters
+        before it bumps them, so its involuted U gets a fault in the
+        conditions instead: repeating the parity-1 column (2, y) over an
+        all-even bottom alphabet leaves a valid forward U, but puts two
+        parity-1 letters side by side in a row of the involuted U.  The
+        traceback shows which side raised."""
         top = make_alphabet(["1", "2"], [0, 1])
         bottom = make_alphabet(["x", "y"], [1, 0])
         bad = {"forward": (0, -1), "involuted": (-1, 1)}[side]
@@ -529,12 +533,30 @@ class TestProbe:
             symmetry_probe(top, bottom, 2, sink=records.append)
         assert records == [{"top": [], "bottom": [], "hypothesis": False, "symmetric": True}]
         assert has_symmetry(TwoRowedArray(top, bottom, ()))
-        with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as single:
-            has_symmetry(TwoRowedArray(top, bottom, [bad]))
+        if side == "forward":
+            with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as single:
+                has_symmetry(TwoRowedArray(top, bottom, [bad]))
+        else:
+            evens = make_alphabet(["x", "y"], [0, 0])
+            repeated = TwoRowedArray(top, evens, [(0, 0), (0, 0), (1, 1), (1, 1)])
+            rsk_forward(repeated)
+            with pytest.raises(ValidationError, match=r"row condition fails at cell \(2, 2\)") as single:
+                has_symmetry(repeated)
         for exc in (probe, single):
             frames = [entry.name for entry in exc.traceback]
             assert frames[-1] == "_forward_rows"
             assert ("_involution_swaps" in frames) == (side == "involuted")
+
+    def test_top_letters_are_checked(self):
+        """A top letter outside the top alphabet raises ForeignLetterError
+        before any bumping, in rsk_forward and in has_symmetry alike."""
+        a = make_alphabet(["1", "2"], [0, 0])
+        for pairs, letter in (([(5, 0)], 5), ([(-1, 0)], -1), ([(0, 0), (5, 0)], 5), ([(0.5, 0)], 0.5)):
+            array = TwoRowedArray(a, a, pairs)
+            for run in (rsk_forward, has_symmetry):
+                with pytest.raises(ForeignLetterError, match="letter index %s out of range" % letter) as exc:
+                    run(array)
+                assert "_forward_rows" not in [entry.name for entry in exc.traceback]
 
     def test_negative_max_cols_raises_on_call(self, mixed2):
         with pytest.raises(ValueError):

@@ -370,6 +370,13 @@ class TestSkewTableau:
         assert exc.value.cell == (1, 3)
         assert exc.value.condition == "row"
 
+    def test_inner_shape_must_fit(self, mixed4):
+        with pytest.raises(ShapeError) as exc:
+            SkewTableau(mixed4, (2, 1), (1, 1, 1), [[2], [], []])
+        assert str(exc.value) == "inner shape (1, 1, 1) is not contained in outer shape (2, 1)"
+        with pytest.raises(ShapeError, match="partition parts must weakly decrease"):
+            SkewTableau(mixed4, (1, 2), (), [[0], [0, 1]])
+
     def test_row_length_must_match_region(self, mixed4):
         with pytest.raises(ShapeError):
             SkewTableau(mixed4, (2, 2), (1,), [[2], [0]])
