@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from .alphabet import SignedAlphabet
 from .bumping import _bump_row
 from .errors import AlphabetMismatchError, _bound_error, _require_int
-from .shape import (
-    SkewDiagram,
-    as_partition,
-    contains,
-    is_horizontal_strip,
-    is_vertical_strip,
-    partitions,
-)
+from .shape import Partition, as_partition, conjugate_partition
 from .tableau import Tableau, _fillings
 
 DEFAULT_MAX_PIERI_CELLS = 12
@@ -156,6 +149,25 @@ class PieriReport:
         return tuple(row for row in self.by_shape if row[1] != row[2])
 
 
+def _strips(lam: Partition, p: int, mode: str) -> list[Partition]:
+    """The shapes that add a horizontal strip of p cells to lam, or in
+    column mode a vertical one: the conjugates of the horizontal strips of
+    the conjugate shape.
+
+    A horizontal strip adds a_i cells to row i of lam, where row 0 may grow
+    freely, row i > 0 at most up to the length of row i - 1, and the row
+    below lam at most up to lam's last part.
+    """
+    if mode == "col":
+        return [conjugate_partition(mu) for mu in _strips(conjugate_partition(lam), p, "row")]
+    caps = [p] + [a - b for a, b in zip(lam, lam[1:] + (0,))]
+    heads: list[tuple[tuple[int, ...], int]] = [((), p)]  # rows so far, cells left to add
+    for base, cap in zip(lam + (0,), caps):
+        heads = [(head + (base + a,), rest - a)
+                 for head, rest in heads for a in range(min(cap, rest) + 1)]
+    return [head if head[-1] else head[:-1] for head, rest in heads if not rest]
+
+
 def pieri_check(
     lam: Iterable[int],
     p: int,
@@ -168,6 +180,13 @@ def pieri_check(
     cells to lam, or in column mode s_col(p) against vertical strips; both
     sides are sums over index rows.  Returns the verdict and, per shape,
     the term counts (with multiplicity) of both sides.
+
+    The strips are built from lam, and each strip's fillings are listed
+    whole, so the right side's count for mu is the length of its list.
+    When the two sums are equal they hold the same terms, and a term's
+    shape is read off its rows, so the per-shape totals agree as well: the
+    left counts are the right ones.  Only on a mismatch are the left terms
+    tallied by shape.
     """
     lam = as_partition(lam)
     if mode not in ("row", "col"):
@@ -181,13 +200,17 @@ def pieri_check(
                            n, max_cells, "max_cells")
     one = s_row(p, alphabet) if mode == "row" else s_col(p, alphabet)
     left = ring_product(s_lambda(lam, alphabet), one)
-    strip_ok = is_horizontal_strip if mode == "row" else is_vertical_strip
-    strips = [mu for mu in partitions(n) if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))]
-    right = FormalSum._of_rows(alphabet, ((rows, 1) for mu in strips
-                                          for rows in _fillings(mu, alphabet)))
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for side, total in enumerate((left, right)):
-        for rows, c in total._terms.items():
-            shapes.setdefault(tuple(map(len, rows)), [0, 0])[side] += c
-    by_shape = tuple((shp, *counts) for shp, counts in sorted(shapes.items()))
-    return PieriReport(equal=(left == right), mode=mode, lam=lam, p=p, by_shape=by_shape)
+    filled = [(mu, list(_fillings(mu, alphabet))) for mu in _strips(lam, p, mode)]
+    right = FormalSum._of_rows(alphabet, ((rows, 1) for _, fillings in filled for rows in fillings))
+    right_counts = {mu: len(fillings) for mu, fillings in filled if fillings}
+    equal = left == right
+    if equal:
+        left_counts = right_counts
+    else:
+        left_counts = {}
+        for rows, c in left._terms.items():
+            shape = tuple(map(len, rows))
+            left_counts[shape] = left_counts.get(shape, 0) + c
+    by_shape = tuple((mu, left_counts.get(mu, 0), right_counts.get(mu, 0))
+                     for mu in sorted(left_counts.keys() | right_counts.keys()))
+    return PieriReport(equal=equal, mode=mode, lam=lam, p=p, by_shape=by_shape)

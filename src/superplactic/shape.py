@@ -51,14 +51,22 @@ def contains(lam: Iterable[int], mu: Iterable[int]) -> bool:
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest part first, in lexicographically
-    decreasing order."""
+    decreasing order.
+
+    The arguments are checked at call time, before the first partition is
+    asked for.
+    """
     if not isinstance(n, int):
         raise ShapeError("cannot partition %s, which is not an integer" % _excerpt(n))
     if n < 0:
         raise ShapeError("cannot partition a negative integer")
     if max_part is not None:
         _require_int("max_part", max_part)
-    top = n if max_part is None else min(max_part, n)
+    return _partitions(n, n if max_part is None else min(max_part, n))
+
+
+def _partitions(n: int, top: int) -> Iterator[Partition]:
+    """The partitions of n into parts of at most `top`, as `partitions` lists them."""
     if top <= 0 < n:
         return
     # Fill the remainder greedily with parts of at most `top`, then step to

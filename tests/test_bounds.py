@@ -156,10 +156,10 @@ NON_INTEGER_CALLS = {
     "col_delete": (lambda: col_delete(_tableau(), 1.5), CornerError, "column 1.5 does not exist"),
     "col_delete_text": (lambda: col_delete(_tableau(), "1"), CornerError, "column '1' does not exist"),
     "alphabet_symbol": (lambda: _mixed().symbol(0.5), ForeignLetterError, "letter index 0.5 out of range"),
-    # partitions checks n and max_part where it checks a negative n: on the first next
-    "partitions_n": (lambda: next(partitions(2.5)), ShapeError,
+    # partitions checks n and max_part where it checks a negative n: on the call
+    "partitions_n": (lambda: partitions(2.5), ShapeError,
                      "cannot partition 2.5, which is not an integer"),
-    "partitions_max_part": (lambda: next(partitions(3, max_part=1.5)), ValueError,
+    "partitions_max_part": (lambda: partitions(3, max_part=1.5), ValueError,
                             "max_part must be an integer, got 1.5"),
     "enumerate_arrays_max_cols": (lambda: enumerate_arrays(_mixed(), _mixed(), 2.5), ValueError,
                                   "max_cols must be an integer, got 2.5"),

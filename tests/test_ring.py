@@ -1,5 +1,6 @@
 import pytest
 
+import superplactic.ring
 from superplactic import (
     AlphabetMismatchError,
     BoundExceededError,
@@ -21,6 +22,7 @@ from superplactic import (
     validate,
     word_of,
 )
+from superplactic.ring import _strips
 
 from oracles import all_signatures, super_tableau_count
 
@@ -238,6 +240,49 @@ class TestPieri:
                             right = {shape: r for shape, _, r in report.by_shape}
                             assert right == {mu: c for mu, c in expected.items() if c}, (sig, lam, p, mode)
                             assert report.equal is True
+
+    def test_strips_match_the_partition_filter(self):
+        """The strips built from lam are the shapes of size |lam| + p that
+        contain lam and pass the strip test, each once: every lam of at most
+        8 cells, p <= 4, both modes."""
+        for n in range(9):
+            for lam in partitions(n):
+                for p in range(5):
+                    for mode, strip_ok in (("row", is_horizontal_strip), ("col", is_vertical_strip)):
+                        want = [mu for mu in partitions(n + p)
+                                if contains(mu, lam) and strip_ok(SkewDiagram(mu, lam))]
+                        assert sorted(_strips(lam, p, mode)) == sorted(want), (lam, p, mode)
+
+    def test_mismatch_tallies_both_sides(self, monkeypatch):
+        """A wrong insertion, which appends every letter to the first row,
+        makes the sides differ.  The report then counts the left terms by
+        shape, and the right side still holds one count per strip."""
+
+        def append_to_first_row(rows, x, col_next):
+            if not rows:
+                rows.append([])
+            rows[0].append(x)
+            return 0
+
+        monkeypatch.setattr(superplactic.ring, "_bump_row", append_to_first_row)
+        for sig in ((0, 1, 0), (1, 0, 1), (0, 0, 1)):
+            alphabet = make_alphabet(["1", "2", "3"], list(sig))
+            for lam, p, mode in (((2, 1), 2, "row"), ((2, 1), 2, "col"), ((1,), 1, "col"), ((3, 1), 3, "row")):
+                report = pieri_check(lam, p, alphabet, mode=mode)
+                assert report.equal is False
+                assert report.mismatches() != ()
+                one = s_row(p, alphabet) if mode == "row" else s_col(p, alphabet)
+                left = {}
+                for rows, c in ring_product(s_lambda(lam, alphabet), one)._terms.items():
+                    shape = tuple(map(len, rows))
+                    left[shape] = left.get(shape, 0) + c
+                strips = set(_strips(lam, p, mode))
+                for shape, left_count, right_count in report.by_shape:
+                    assert left_count == left.get(shape, 0), (sig, lam, p, mode, shape)
+                    want = super_tableau_count(shape, sig) if shape in strips else 0
+                    assert right_count == want, (sig, lam, p, mode, shape)
+                shapes = set(left) | {mu for mu in strips if super_tableau_count(mu, sig)}
+                assert [shape for shape, _, _ in report.by_shape] == sorted(shapes)
 
     def test_size_cap(self, mixed3):
         with pytest.raises(BoundExceededError):

@@ -107,9 +107,9 @@ def test_partitions_edge_cases():
     assert [list(partitions(0, m)) for m in (None, -1, 0, 1)] == [[()]] * 4
     assert [list(partitions(3, m)) for m in (-1, 0)] == [[], []]
     assert list(partitions(3, 7)) == list(partitions(3))
-    negative = partitions(-1)  # raises on the first next, not on the call
+    # the arguments are checked on the call, before the first next
     with pytest.raises(ShapeError):
-        next(negative)
+        partitions(-1)
 
 
 def test_partitions_stay_off_the_recursion_limit():
