@@ -58,9 +58,9 @@ def is_column_word(word: Word) -> bool:
     return all(a >= col_next[b] for a, b in zip(xs, xs[1:]))
 
 
-def _knuth_moves(xs: tuple[int, ...], row_next: tuple[int, ...],
-                 col_next: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Letter tuples reachable from xs by a single elementary move.
+def _knuth_swaps(xs: tuple[int, ...], row_next: tuple[int, ...],
+                 col_next: tuple[int, ...]) -> list[int]:
+    """Positions i whose pair xs[i], xs[i + 1] a single elementary move swaps.
 
     Each move on a window a b c swaps one adjacent pair around a pivot y:
     the first move swaps a, b around y = c, the second swaps b, c around
@@ -70,24 +70,28 @@ def _knuth_moves(xs: tuple[int, ...], row_next: tuple[int, ...],
     col_next.  The pair in the other order needs no test of its own: it
     would ask for z <= y <= x, so both orders hold only when a = b = c,
     and then the ties ask for that letter to have parity 0 and parity 1.
+    For the same reason a swapped pair never holds two equal letters, so
+    every move changes the word.  A position may be listed twice, once
+    from each window that holds its pair.
     """
-    out: set[tuple[int, ...]] = set()
+    out: list[int] = []
     for p in range(len(xs) - 2):
         a, b, c = xs[p], xs[p + 1], xs[p + 2]
         x, z = (a, b) if a <= b else (b, a)
         if c >= row_next[x] and z >= col_next[c]:  # xzy ~ zxy
-            out.add(xs[:p] + (b, a, c) + xs[p + 3:])
+            out.append(p)
         x, z = (b, c) if b <= c else (c, b)
         if a >= col_next[x] and z >= row_next[a]:  # yxz ~ yzx
-            out.add(xs[:p] + (a, c, b) + xs[p + 3:])
+            out.append(p + 1)
     return out
 
 
 def knuth_neighbors(word: Word) -> set[Word]:
     """Words reachable from this one by a single elementary move."""
     alphabet = word.alphabet
-    moves = _knuth_moves(word.letters, alphabet.row_next, alphabet.col_next)
-    return {Word._trusted(alphabet, xs) for xs in moves}
+    xs = word.letters
+    return {Word._trusted(alphabet, xs[:i] + (xs[i + 1], xs[i]) + xs[i + 2:])
+            for i in _knuth_swaps(xs, alphabet.row_next, alphabet.col_next)}
 
 
 def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
@@ -98,6 +102,12 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     Exponential in the word length, so the length is capped by `max_len`
     and the number of visited words by `max_states` (the environment
     variable SUPERPLACTIC_MAX_STATES overrides the latter default).
+
+    Every move swaps one adjacent pair, so the search keys each visited
+    word by one int: letter w_i sits in a field of len(alphabet).bit_length()
+    bits at place value v_i, and swapping a = w_i with b = w_{i+1} changes
+    the key by (b - a) * (v_i - v_{i+1}).  A neighbour's letter tuple is
+    built only when its key has not been seen.
     """
     if len(word) > max_len:
         raise _bound_error("word of length {observed} exceeds the class search bound {limit}",
@@ -115,17 +125,28 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next
-    seen = {word.letters}
-    todo = [word.letters]
+    xs = word.letters
+    width = len(alphabet).bit_length()
+    place = [1 << (width * i) for i in range(len(xs) + 1)]
+    shift = [place[i] - place[i + 1] for i in range(len(xs))]  # v_i - v_{i+1}
+    key = sum(x * v for x, v in zip(xs, place))
+    seen = {key}
+    members = [xs]
+    todo = [(xs, key)]
     while todo:
-        for v in _knuth_moves(todo.pop(), rn, cn):
-            if v not in seen:
-                seen.add(v)
+        xs, key = todo.pop()
+        for i in _knuth_swaps(xs, rn, cn):
+            a, b = xs[i], xs[i + 1]
+            k = key + (b - a) * shift[i]
+            if k not in seen:
+                seen.add(k)
                 if len(seen) > max_states:
                     raise _bound_error("class search exceeded {limit} states",
                                        len(seen), max_states, setting)
-                todo.append(v)
-    return {Word._trusted(alphabet, xs) for xs in seen}
+                v = xs[:i] + (b, a) + xs[i + 2:]
+                members.append(v)
+                todo.append((v, k))
+    return {Word._trusted(alphabet, xs) for xs in members}
 
 
 def canonical_word(word: Word) -> Word:
@@ -159,22 +180,28 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     """Exact Greene invariants (l_1, ..., l_max_k) in one sweep.
 
     Dynamic program over the letters: a state is the multiset of final
-    letters of the disjoint subwords built so far, and each new letter x may
-    be skipped, start a new subword, or extend one subword.  This searches
-    every family of at most max_k disjoint row (or column) words without
-    enumerating the families one by one.  A word of length L has l_k = l_L
-    for every k >= L, so the sweep stops at k_eff = min(max_k, L) subwords
-    and the profile is padded with its last value.
+    letters of the disjoint subwords built so far, and each new letter x is
+    either skipped or taken by one subword, which it extends or starts.
+    This searches every family of at most max_k disjoint row (or column)
+    words without enumerating the families one by one.  A word of length L
+    has l_k = l_L for every k >= L, so the sweep stops at k_eff = min(max_k,
+    L) subwords and the profile is padded with its last value.
 
-    Only one extension per state is tried, because it dominates the others.
-    A row word ending at e accepts x exactly when e < col_next[x], so the
-    ends x can extend form a down-set of the sorted ends, and a smaller end
-    accepts every later letter a larger one accepts.  Replacing the largest
-    such end leaves ends that are, rank by rank, no larger than any other
-    choice leaves.  A state that is pointwise no larger than another, with
-    as many ends and at least the same total, can follow each of its moves
-    (skip, new subword, extend the end of the same rank) and stay pointwise
-    no larger, so the dominated choices never give a larger l_k.
+    Besides the skip, each state tries one move, because it dominates the
+    others.  A row word ending at e accepts x exactly when e < col_next[x],
+    so the ends x can extend form a down-set of the sorted ends, and a
+    smaller end accepts every later letter a larger one accepts.  Read a
+    slot not yet used by a subword as an end below every letter.  A state
+    that is rank by rank no larger than another, with at least the same
+    total, can follow each of its moves (skip, or take x by the end of the
+    same rank) and stay rank by rank no larger, so the dominated choices
+    never give a larger l_k for any k.  Replacing the largest end that
+    accepts x leaves ends that are, rank by rank, no larger than any other
+    extension leaves.  It also beats starting a subword at x: both states
+    hold x and have the same total, but the extended one holds a free slot
+    where the other holds that end, and one subword fewer.  So a subword
+    is started only when no end accepts x, and only while fewer than k_eff
+    exist.  No state is ever compared with another.
 
     Column mode is the same sweep: a column word read backwards is a row word
     over the conjugate alphabet, whose col_next is row_next.
@@ -215,16 +242,15 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
         ux, grow, below = steps[x]
         new = dict(states)
         for s, total in states.items():
-            nt = total + 1
-            if s < cap:
-                key = s + grow
-                if new.get(key, -1) < nt:
-                    new[key] = nt
             m = (s & below).bit_length()
             if m:
                 key = s - owner[m - 1] + ux
-                if new.get(key, -1) < nt:
-                    new[key] = nt
+            elif s < cap:
+                key = s + grow
+            else:
+                continue
+            if new.get(key, -1) <= total:
+                new[key] = total + 1
         states = new
     best = [0] * (k_eff + 1)
     for s, total in states.items():

@@ -38,6 +38,16 @@ def all_words(alphabet, max_len, min_len=0):
             yield Word.from_indices(alphabet, letters)
 
 
+def knuth_closure(word):
+    """The words reachable from word through knuth_neighbors."""
+    closure = {word}
+    frontier = {word}
+    while frontier:
+        frontier = {v for u in frontier for v in knuth_neighbors(u)} - closure
+        closure.update(frontier)
+    return closure
+
+
 class TestGrading:
     def test_degree_counts_odd_letters_mod_two(self, mixed4):
         assert z2_degree(Word(mixed4)) == 0
@@ -92,6 +102,21 @@ class TestNeighbors:
                 assert z2_degree(v) == z2_degree(w)
                 assert tableau_of_word(v) == t
 
+    def test_each_neighbor_is_one_adjacent_swap(self):
+        """plactic_class keys its search on this: a move swaps exactly one
+        adjacent pair of distinct letters, so it never returns the word."""
+        for n in range(1, 4):
+            for sig in all_signatures(n):
+                alphabet = make_alphabet([str(i) for i in range(1, n + 1)], sig)
+                for w in all_words(alphabet, 6):
+                    neighbors = knuth_neighbors(w)
+                    assert w not in neighbors
+                    for v in neighbors:
+                        diff = [i for i, (a, b) in enumerate(zip(w.letters, v.letters)) if a != b]
+                        assert len(v) == len(w) and len(diff) == 2, (sig, w.letters, v.letters)
+                        i, j = diff
+                        assert j == i + 1 and v.letters[i] == w.letters[j] and v.letters[j] == w.letters[i]
+
     def test_short_words_have_no_neighbors(self, mixed4):
         assert knuth_neighbors(Word(mixed4)) == set()
         assert knuth_neighbors(Word(mixed4, ["1", "2"])) == set()
@@ -124,12 +149,22 @@ class TestClasses:
             alphabet = make_alphabet(["1", "2", "3"], list(sig))
             for symbols in ("3121", "23121", "321321", "213312"):
                 w = Word(alphabet, symbols)
-                closure = {w}
-                frontier = [w]
-                while frontier:
-                    frontier = [v for u in frontier for v in knuth_neighbors(u) if v not in closure]
-                    closure.update(frontier)
-                assert plactic_class(w) == closure, (sig, symbols)
+                assert plactic_class(w) == knuth_closure(w), (sig, symbols)
+
+    @pytest.mark.parametrize("indices", [
+        (33, 0, 17, 33, 16, 0, 17, 16, 33, 1, 0),
+        (33, 17, 0, 32, 16, 33, 0, 17, 16, 32, 1, 33),
+    ])
+    def test_closure_over_a_wide_alphabet(self, indices):
+        """Over 34 letters each letter of the search key takes 6 bits, and
+        letters 32 and 33 set the top bit of their field.  Letters 0, 16
+        and 32 have parity 0 and letters 1, 17 and 33 parity 1; both words
+        repeat letters of each parity."""
+        alphabet = make_alphabet([str(i) for i in range(34)], [i % 2 for i in range(34)])
+        w = Word.from_indices(alphabet, indices)
+        closure = knuth_closure(w)
+        assert len(closure) > 1
+        assert plactic_class(w, max_len=len(w)) == closure
 
     def test_length_bound(self, evens2):
         with pytest.raises(BoundExceededError):
