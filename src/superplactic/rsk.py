@@ -25,8 +25,12 @@ their parity-1 letters (or both the other way around) and every column has
 pair parity 0.  Outside those hypotheses `symmetry_probe` surveys what
 actually happens.  The probe carries the forward tableaux along its depth
 first walk over the arrays, so each array costs one insertion and the
-check of one cell of U on the forward side, and only the involuted side
-runs the full correspondence.
+check of one cell of U on the forward side.  The walk's new column has
+the largest bottom letter so far, so on the involuted side, where columns
+are taken top letter first, it comes last among the columns with its top
+letter a: the probe keeps the involuted rows after each top letter's
+columns, and replays only the new column and the columns whose top letter
+is larger than a.
 """
 
 from __future__ import annotations
@@ -144,7 +148,8 @@ def _forward_rows(
     bottom_alphabet: SignedAlphabet,
 ) -> None:
     """Extend the index rows of (T, U) by the columns `pairs`, in order,
-    checking each cell of U as it is placed.
+    checking each top letter before it is bumped and each cell of U as it
+    is placed.
 
     U grows only by one cell at the end of a row, and a placed cell never
     changes.  So every letter of U, and every pair of neighbouring cells,
@@ -162,7 +167,10 @@ def _forward_rows(
     pcol = bottom_alphabet.col_next
     row_next = top_alphabet.row_next
     col_next = top_alphabet.col_next
+    m = len(row_next)
     for a, b in pairs:
+        if not (isinstance(a, int) and 0 <= a < m):
+            raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
         if not (isinstance(b, int) and 0 <= b < n):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
         r = _bump_row(trows, a, col_next) if ppar[b] == 0 else _bump_col(trows, a, row_next)
@@ -186,7 +194,6 @@ def _forward_rows(
 
 def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
     """The correspondence: array to an equal-shape tableau pair (T, U)."""
-    Word.from_indices(array.top_alphabet, [a for a, _ in array.pairs])  # checks the top letters
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
@@ -265,30 +272,32 @@ def array_involution(array: TwoRowedArray) -> TwoRowedArray:
     return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, _swapped(array.pairs))
 
 
-def _involution_swaps(
-    pairs: Iterable[tuple[int, int]],
-    trows: list[list[int]],
-    urows: list[list[int]],
+# The index rows (T, U) of a tableau pair.
+_RowPair = tuple[list[list[int]], list[list[int]]]
+
+
+def _involuted_rows(
+    state: _RowPair,
+    swapped: Iterable[tuple[int, int]],
     top_alphabet: SignedAlphabet,
     bottom_alphabet: SignedAlphabet,
-) -> bool:
-    """Whether the involution of the array with columns `pairs`, whose
-    forward rows are (trows, urows), has the forward rows (urows, trows)."""
-    t2: list[list[int]] = []
-    u2: list[list[int]] = []
-    _forward_rows(t2, u2, _swapped(pairs), bottom_alphabet, top_alphabet)
-    return t2 == urows and u2 == trows
+) -> _RowPair:
+    """A copy of the involuted rows `state` of an array over (top, bottom),
+    extended by the involuted columns `swapped`; `state` is left as it is."""
+    t2 = [row[:] for row in state[0]]
+    u2 = [row[:] for row in state[1]]
+    _forward_rows(t2, u2, swapped, bottom_alphabet, top_alphabet)
+    return t2, u2
 
 
 def has_symmetry(array: TwoRowedArray) -> bool:
     """Whether the involution swaps the two tableaux of the correspondence."""
     L = array.top_alphabet
     P = array.bottom_alphabet
-    Word.from_indices(L, [a for a, _ in array.pairs])  # checks the top letters
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, L, P)
-    return _involution_swaps(array.pairs, trows, urows, L, P)
+    return _involuted_rows(([], []), _swapped(array.pairs), L, P) == (urows, trows)
 
 
 def _parity_first(alphabet: SignedAlphabet, p: int) -> bool:
@@ -453,16 +462,32 @@ def symmetry_probe(
 ) -> ProbeReport:
     """Classify every array with at most max_cols columns by (hypotheses
     satisfied, symmetric).  `sink`, if given, receives one dict per array,
-    which the command line driver streams out as JSON lines."""
+    which the command line driver streams out as JSON lines.
+
+    Both sides are carried down the walk.  An array's new column (a, b) has
+    the largest bottom letter so far, so in the involuted order, top letter
+    first, it follows every column with top letter at most a and precedes
+    the rest.  Each prefix on the stack keeps, for every top letter x, the
+    involuted rows after all its columns with top letter at most x (its
+    checkpoints), and its involuted columns in blocks by top letter.  The
+    array's involuted rows are then the parent's checkpoint at a, copied,
+    extended by the new column and the parent's blocks above a.  A prefix
+    that can still grow shares the parent's checkpoints below a and keeps
+    a copy at a and at the end of each nonempty block above it; an array
+    of max_cols columns keeps none.  Every cell is checked when it is placed, and a checkpoint's
+    cells were checked when it was built.
+    """
     aligned = _aligned(top_alphabet, bottom_alphabet)
     top_letters = top_alphabet.letters
     bottom_letters = bottom_alphabet.letters
     par = _pair_parities(top_alphabet, bottom_alphabet)
     n = len(top_alphabet)
     report = ProbeReport(max_cols=max_cols)
-    # stack[d] holds the forward rows (T, U) of the first d columns of the
-    # array in hand, and how many of those columns have pair parity 1.
-    stack: list[tuple[list[list[int]], list[list[int]], int]] = []
+    # stack[d] holds, for the first d columns of the array in hand, the
+    # forward rows (T, U), how many columns have pair parity 1, the
+    # involuted columns of each top letter, and the checkpoints.
+    stack: list[tuple[list[list[int]], list[list[int]], int,
+                      tuple[tuple[tuple[int, int], ...], ...], list[_RowPair]]] = []
     for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols):
         report.total += 1
         if report.total > max_arrays:
@@ -471,17 +496,33 @@ def symmetry_probe(
         # that prefix are on the stack: copy them and insert the last one.
         del stack[len(cols):]
         if stack:
-            parent_t, parent_u, odd = stack[-1]
+            parent_t, parent_u, odd, blocks, cps = stack[-1]
             trows = [row[:] for row in parent_t]
             urows = [row[:] for row in parent_u]
             a, b = cols[-1]
             odd += par[b * n + a]
+            _forward_rows(trows, urows, cols[-1:], top_alphabet, bottom_alphabet)
+            above = blocks[a + 1:]
+            if len(cols) < max_cols:
+                blocks = blocks[:a] + (blocks[a] + ((b, a),),) + above
+                inv = _involuted_rows(cps[a], ((b, a),), top_alphabet, bottom_alphabet)
+                cps = cps[:a]
+                cps.append(inv)
+                for block in above:
+                    if block:
+                        inv = _involuted_rows(inv, block, top_alphabet, bottom_alphabet)
+                    cps.append(inv)
+                stack.append((trows, urows, odd, blocks, cps))
+            else:
+                swapped = [(b, a)]
+                for block in above:
+                    swapped += block
+                inv = _involuted_rows(cps[a], swapped, top_alphabet, bottom_alphabet)
         else:
-            trows, urows, odd = [], [], 0
-        _forward_rows(trows, urows, cols[-1:], top_alphabet, bottom_alphabet)
-        stack.append((trows, urows, odd))
+            trows, urows, odd, inv = [], [], 0, ([], [])
+            stack.append((trows, urows, odd, ((),) * n, [inv] * n))
         hyp = aligned and odd == 0
-        sym = _involution_swaps(cols, trows, urows, top_alphabet, bottom_alphabet)
+        sym = inv == (urows, trows)
         key = (hyp, sym)
         report.counts[key] += 1
         if len(report.examples[key]) < examples_per_cell:

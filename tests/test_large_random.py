@@ -1,7 +1,8 @@
 """The paper's theorems on random inputs far past the exhaustive domains.
 
 Each check is seeded and compares the package with `oracles` only: the
-symmetry theorem on arrays of hundreds of columns, Knuth moves keeping the
+symmetry theorem on arrays of hundreds of columns, the symmetry probe on
+random pairs of 4-letter signatures, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
 oracle's insertion, the bumping lemmas on tableaux of up to 100 cells, and
 Greene's theorem on words of up to 300 letters.
@@ -17,10 +18,12 @@ from superplactic import (
     check_susy,
     check_tableau,
     col_insert,
+    enumerate_arrays,
     greene_profile,
     make_alphabet,
     row_insert,
     rsk_forward,
+    symmetry_probe,
     tableau_of_word,
     validate_array,
 )
@@ -74,6 +77,24 @@ def test_symmetry_theorem_on_long_aligned_arrays():
         # the involution swaps each column, then sorts into product order
         swapped = sorted(((b, a) for a, b in array.pairs), key=lambda ba: (ba[1], ba[0]))
         assert super_rsk(swapped, bottom.parities, top.parities) == (u, t)
+
+
+def test_probe_on_random_four_letter_pairs():
+    """On seeded random pairs of 4-letter signatures up to 4 columns, the
+    probe flags an array symmetric exactly when the oracle's correspondence
+    of the involution is the pair (U, T)."""
+    rng = random.Random(4)
+    for _ in range(6):
+        top = _alphabet(rng, 4, [rng.randint(0, 1) for _ in range(4)])
+        bottom = _alphabet(rng, 4, [rng.randint(0, 1) for _ in range(4)])
+        records = []
+        symmetry_probe(top, bottom, 4, sink=records.append)
+        expected = []
+        for array in enumerate_arrays(top, bottom, 4):
+            t, u = super_rsk(array.pairs, top.parities, bottom.parities)
+            swapped = sorted(((b, a) for a, b in array.pairs), key=lambda ba: (ba[1], ba[0]))
+            expected.append(super_rsk(swapped, bottom.parities, top.parities) == (u, t))
+        assert [record["symmetric"] for record in records] == expected
 
 
 def test_knuth_moves_keep_the_tableau_of_long_words():

@@ -510,53 +510,97 @@ class TestProbe:
                                      "hypothesis": hyp, "symmetric": sym})
                 assert records == expected
 
+    def test_checkpoints_agree_with_the_full_replay(self):
+        """The probe starts each array's involuted side from a checkpoint of
+        its parent, has_symmetry replays every column.  They agree on every
+        array of enumerate_arrays, in order, over every pair of a 2-letter
+        and a 3-letter signature, either way round, up to 5 columns: deep
+        enough that arrays of several top-letter blocks replay some of them
+        and share the rest (15,120 arrays)."""
+        twos = [make_alphabet("ab", sig) for sig in all_signatures(2)]
+        threes = [make_alphabet("abc", sig) for sig in all_signatures(3)]
+        total = 0
+        for tops, bottoms in ((twos, threes), (threes, twos)):
+            for top in tops:
+                for bottom in bottoms:
+                    records = []
+                    symmetry_probe(top, bottom, 5, sink=records.append)
+                    assert [record["symmetric"] for record in records] == [
+                        has_symmetry(array) for array in enumerate_arrays(top, bottom, 5)]
+                    total += len(records)
+        assert total == 15120
+
+    def test_involuted_side_replays_only_the_columns_after_the_new_one(self, monkeypatch):
+        """Counts the insertions of one census.  Replaying every column of
+        every array, as has_symmetry does, would cost the involuted side
+        alone one insertion per column of the census; with the checkpoints
+        both sides together stay below that."""
+        counted = [0]
+        for name in ("_bump_row", "_bump_col"):
+            def counting(*args, bump=getattr(superplactic.rsk, name)):
+                counted[0] += 1
+                return bump(*args)
+            monkeypatch.setattr(superplactic.rsk, name, counting)
+        alphabet = make_alphabet("abc", [0, 0, 1])
+        report = symmetry_probe(alphabet, alphabet, 6)
+        columns = sum(len(array) for array in enumerate_arrays(alphabet, alphabet, 6))
+        assert (report.total, columns) == (2471, 12901)
+        assert counted[0] < columns
+
     @pytest.mark.parametrize("side", ["forward", "involuted"])
     def test_both_sides_validate_u(self, monkeypatch, side):
         """Each side checks every cell it places in its U: a fault in the U
-        of one side stops the probe and has_symmetry.  The probe's walk
-        never makes a foreign letter, so one is patched in: the letter -1
-        is foreign to both alphabets, and the probe checks no top letter,
-        so as a bottom letter it reaches only the forward U and as a top
-        letter only the involuted U.  has_symmetry checks its top letters
-        before it bumps them, so its involuted U gets a fault in the
-        conditions instead: repeating the parity-1 column (2, y) over an
-        all-even bottom alphabet leaves a valid forward U, but puts two
-        parity-1 letters side by side in a row of the involuted U.  The
-        traceback shows which side raised."""
+        of one side stops the probe and has_symmetry, and the traceback
+        shows which side raised.  The probe's walk never makes a faulty
+        array, so the prefixes of one are patched in.  The forward fault is
+        the bottom letter -1, foreign to the bottom alphabet.  A foreign
+        top letter would stop the forward side first, so the involuted U
+        gets a fault in the conditions instead: repeating the parity-1
+        column (2, y) over an all-even bottom alphabet leaves a valid
+        forward U, but puts two parity-1 letters side by side in a row of
+        the involuted U.  The probe meets it in its last array, on a
+        checkpoint built from the prefix before it."""
         top = make_alphabet(["1", "2"], [0, 1])
-        bottom = make_alphabet(["x", "y"], [1, 0])
-        bad = {"forward": (0, -1), "involuted": (-1, 1)}[side]
-        monkeypatch.setattr(superplactic.rsk, "_column_walk",
-                            lambda top, bottom, max_cols: iter([[], [bad], [bad, (1, 1)]]))
-        records = []
-        with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as probe:
-            symmetry_probe(top, bottom, 2, sink=records.append)
-        assert records == [{"top": [], "bottom": [], "hypothesis": False, "symmetric": True}]
-        assert has_symmetry(TwoRowedArray(top, bottom, ()))
         if side == "forward":
-            with pytest.raises(ForeignLetterError, match="letter index -1 out of range") as single:
-                has_symmetry(TwoRowedArray(top, bottom, [bad]))
+            bottom = make_alphabet(["x", "y"], [1, 0])
+            cols = [(0, -1), (1, 1)]
+            error, match = ForeignLetterError, "letter index -1 out of range"
         else:
-            evens = make_alphabet(["x", "y"], [0, 0])
-            repeated = TwoRowedArray(top, evens, [(0, 0), (0, 0), (1, 1), (1, 1)])
-            rsk_forward(repeated)
-            with pytest.raises(ValidationError, match=r"row condition fails at cell \(2, 2\)") as single:
-                has_symmetry(repeated)
+            bottom = make_alphabet(["x", "y"], [0, 0])
+            cols = [(0, 0), (0, 0), (1, 1), (1, 1)]
+            error, match = ValidationError, r"row condition fails at cell \(2, 2\)"
+            rsk_forward(TwoRowedArray(top, bottom, cols))
+        prefixes = [cols[:k] for k in range(len(cols) + 1)]
+        monkeypatch.setattr(superplactic.rsk, "_column_walk",
+                            lambda top, bottom, max_cols: iter(prefixes))
+        records = []
+        with pytest.raises(error, match=match) as probe:
+            symmetry_probe(top, bottom, len(cols), sink=records.append)
+        assert [record["symmetric"] for record in records] == [
+            has_symmetry(TwoRowedArray(top, bottom, prefix)) for prefix in prefixes[:len(records)]]
+        assert len(records) == {"forward": 1, "involuted": 4}[side]
+        with pytest.raises(error, match=match) as single:
+            has_symmetry(TwoRowedArray(top, bottom, cols))
         for exc in (probe, single):
             frames = [entry.name for entry in exc.traceback]
             assert frames[-1] == "_forward_rows"
-            assert ("_involution_swaps" in frames) == (side == "involuted")
+            assert ("_involuted_rows" in frames) == (side == "involuted")
 
     def test_top_letters_are_checked(self):
         """A top letter outside the top alphabet raises ForeignLetterError
-        before any bumping, in rsk_forward and in has_symmetry alike."""
+        before its column is bumped, on the forward side, in rsk_forward and
+        in has_symmetry alike.  Columns are checked in order, so a foreign
+        bottom letter in an earlier column raises first."""
         a = make_alphabet(["1", "2"], [0, 0])
-        for pairs, letter in (([(5, 0)], 5), ([(-1, 0)], -1), ([(0, 0), (5, 0)], 5), ([(0.5, 0)], 0.5)):
+        for pairs, letter in (([(5, 0)], 5), ([(-1, 0)], -1), ([(0, 0), (5, 0)], 5), ([(0.5, 0)], 0.5),
+                              ([(0, 7), (5, 0)], 7)):
             array = TwoRowedArray(a, a, pairs)
             for run in (rsk_forward, has_symmetry):
                 with pytest.raises(ForeignLetterError, match="letter index %s out of range" % letter) as exc:
                     run(array)
-                assert "_forward_rows" not in [entry.name for entry in exc.traceback]
+                frames = [entry.name for entry in exc.traceback]
+                assert frames[-1] == "_forward_rows"
+                assert "_involuted_rows" not in frames
 
     def test_negative_max_cols_raises_on_call(self, mixed2):
         with pytest.raises(ValueError):
