@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import AlphabetError, ForeignLetterError, _excerpt
+from .errors import AlphabetError, ForeignLetterError, _excerpt, _require_indices
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -95,9 +95,7 @@ class SignedAlphabet:
             raise ForeignLetterError("letter %s is not in the alphabet" % _excerpt(symbol)) from None
 
     def symbol(self, i: int) -> str:
-        if not isinstance(i, int) or not 0 <= i < len(self.letters):
-            raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
-        return self.letters[i]
+        return self.to_symbols((i,))[0]
 
     def parity_of(self, symbol: str) -> int:
         return self.parities[self.index(symbol)]
@@ -107,7 +105,7 @@ class SignedAlphabet:
         return tuple([index(s) for s in symbols])
 
     def to_symbols(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.symbol(i) for i in indices)
+        return tuple([self.letters[i] for i in _require_indices(indices, len(self.letters))])
 
     @property
     def even_letters(self) -> tuple[str, ...]:

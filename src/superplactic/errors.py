@@ -23,11 +23,28 @@ def _excerpt(value) -> str:
     return "%s... (%d characters)" % (text[:40], len(text))
 
 
-def _require_int(name: str, value) -> None:
-    """Raise ValueError naming the argument unless value is an int, so that
-    a float size or index fails as bad input rather than deep inside."""
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an int of at least `least` (when given):
+    "<name> must be an integer, got <value>" or "<name> must be at least <least>"."""
     if not isinstance(value, int):
         raise ValueError("%s must be an integer, got %s" % (name, _excerpt(value)))
+    if least is not None and value < least:
+        raise ValueError("%s must be at least %d" % (name, least))
+
+
+def _require_mode(mode) -> None:
+    """Raise ValueError unless mode is "row" or "col"."""
+    if mode not in ("row", "col"):
+        raise ValueError("mode must be 'row' or 'col'")
+
+
+def _require_indices(indices, n: int) -> tuple:
+    """The indices as a tuple; raise ForeignLetterError unless each is an int in range(n)."""
+    indices = tuple(indices)
+    for i in indices:
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
+    return indices
 
 
 def _bound_error(template: str, observed, limit, setting: str) -> "BoundExceededError":
@@ -36,6 +53,13 @@ def _bound_error(template: str, observed, limit, setting: str) -> "BoundExceeded
     message = template.format(observed=_excerpt(observed), limit=_excerpt(limit), setting=setting)
     return BoundExceededError(message, observed=observed, limit=limit, setting=setting)
 
+
+def _require_setting(setting: str, value, least: int | None = None, text=None) -> None:
+    """Raise unless value is an int of at least `least` (if any); the error shows `text`, if given."""
+    if not isinstance(value, int) or (least is not None and value < least):
+        floor = "" if least is None else " of at least {limit}"
+        raise _bound_error("{setting} must be an integer" + floor + ", got {observed}",
+                           value if text is None else text, least, setting)
 
 class SuperplacticError(Exception):
     """Base class for all domain errors raised by this package."""

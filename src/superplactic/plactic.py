@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .bumping import tableau_of_word
-from .errors import AlphabetMismatchError, _bound_error, _require_int
+from .errors import AlphabetMismatchError, _bound_error, _require_int, _require_mode, _require_setting
 from .shape import conjugate_partition
 from .tableau import Tableau, Word, word_of
 
@@ -94,6 +94,14 @@ def knuth_neighbors(word: Word) -> set[Word]:
             for i in _knuth_swaps(xs, alphabet.row_next, alphabet.col_next)}
 
 
+def _require_length(word: Word, max_len: int, bound: str) -> None:
+    """Raise unless max_len is an integer and the word no longer; `bound` names the bound."""
+    _require_setting("max_len", max_len)
+    if len(word) > max_len:
+        raise _bound_error("word of length {observed} exceeds the %s bound {limit}" % bound,
+                           len(word), max_len, "max_len")
+
+
 def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
                   max_states: int | None = None) -> set[Word]:
     """The full congruence class of the word, found by searching over
@@ -109,19 +117,15 @@ def plactic_class(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN,
     the key by (b - a) * (v_i - v_{i+1}).  A neighbour's letter tuple is
     built only when its key has not been seen.
     """
-    if len(word) > max_len:
-        raise _bound_error("word of length {observed} exceeds the class search bound {limit}",
-                           len(word), max_len, "max_len")
-    setting, value = "max_states", max_states
+    _require_length(word, max_len, "class search")
+    setting, text = "max_states", None
     if max_states is None:
-        setting, value = MAX_STATES_ENV, os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
+        setting, text = MAX_STATES_ENV, os.environ.get(MAX_STATES_ENV, str(DEFAULT_MAX_STATES))
         try:
-            max_states = int(value)
+            max_states = int(text)
         except ValueError:
-            max_states = 0
-    if not isinstance(max_states, int) or max_states < 1:
-        raise _bound_error("{setting} must be an integer of at least {limit}, got {observed}",
-                           value, 1, setting)
+            max_states = text
+    _require_setting(setting, max_states, 1, text)
     alphabet = word.alphabet
     rn = alphabet.row_next
     cn = alphabet.col_next
@@ -215,15 +219,10 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     one that holds the highest set bit below that limit: one bit_length
     finds it.
     """
-    if mode == "row":
-        letters, accepts = word.letters, word.alphabet.col_next
-    elif mode == "col":
-        letters, accepts = word.letters[::-1], word.alphabet.row_next
-    else:
-        raise ValueError("mode must be 'row' or 'col'")
-    _require_int("max_k", max_k)
-    if max_k < 0:
-        raise ValueError("max_k must be at least 0")
+    _require_mode(mode)
+    _require_int("max_k", max_k, 0)
+    letters = word.letters if mode == "row" else word.letters[::-1]
+    accepts = word.alphabet.col_next if mode == "row" else word.alphabet.row_next
     present = sorted(set(letters))
     n = len(present)
     k_eff = min(max_k, len(word))
@@ -264,13 +263,8 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
 def _greene(word: Word, k: int, max_len: int | None, mode: str) -> int:
     """l_k(w) in the given mode, for words within the length bound (by
     default 10 for k <= 3, else 8)."""
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    bound = (10 if k <= 3 else 8) if max_len is None else max_len
-    if len(word) > bound:
-        raise _bound_error("word of length {observed} exceeds the Greene search bound {limit}",
-                           len(word), bound, "max_len")
+    _require_int("k", k, 1)
+    _require_length(word, (10 if k <= 3 else 8) if max_len is None else max_len, "Greene search")
     # l_k = l_L for k >= L = len(word), so a huge k costs no more than k = L
     return greene_profile(word, min(k, len(word) or 1), mode)[-1]
 
@@ -289,12 +283,9 @@ def greene_via_shape(word: Word, k: int, mode: str = "row") -> int:
     """Greene invariant read off the tableau shape: the sum of the first k
     parts of the shape of the tableau of w, or of its conjugate in column
     mode."""
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _require_int("k", k, 1)
+    _require_mode(mode)
     lam = tableau_of_word(word).shape
     if mode == "col":
         lam = conjugate_partition(lam)
-    elif mode != "row":
-        raise ValueError("mode must be 'row' or 'col'")
     return sum(lam[:k])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
 from .bumping import _bump_row
-from .errors import AlphabetMismatchError, _bound_error, _require_int
+from .errors import AlphabetMismatchError, _bound_error, _require_int, _require_mode, _require_setting
 from .shape import Partition, as_partition, conjugate_partition
 from .tableau import Tableau, _fillings
 
@@ -98,18 +98,14 @@ def s_lambda(lam: Iterable[int], alphabet: SignedAlphabet) -> FormalSum:
 
 def s_row(p: int, alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all single-row tableaux with p cells (all row words of length p)."""
-    _require_int("p", p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    _require_int("p", p, 0)
     return s_lambda((p,) if p else (), alphabet)
 
 
 def s_col(p: int, alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all single-column tableaux with p cells (all column words of
     length p, read bottom to top)."""
-    _require_int("p", p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    _require_int("p", p, 0)
     return s_lambda((1,) * p, alphabet)
 
 
@@ -189,11 +185,9 @@ def pieri_check(
     tallied by shape.
     """
     lam = as_partition(lam)
-    if mode not in ("row", "col"):
-        raise ValueError("mode must be 'row' or 'col'")
-    _require_int("p", p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    _require_mode(mode)
+    _require_int("p", p, 0)
+    _require_setting("max_cells", max_cells)
     n = sum(lam) + p
     if n > max_cells:
         raise _bound_error("total size {observed} exceeds the Pieri bound {limit}",

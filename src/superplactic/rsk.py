@@ -56,8 +56,9 @@ from .errors import (
     _bound_error,
     _excerpt,
     _require_int,
+    _require_setting,
 )
-from .plactic import DEFAULT_MAX_WORD_LEN
+from .plactic import DEFAULT_MAX_WORD_LEN, _require_length
 from .shape import as_partition
 from .tableau import Tableau, Word, _cell_error, enumerate_standard
 
@@ -169,6 +170,7 @@ def _forward_rows(
     col_next = top_alphabet.col_next
     m = len(row_next)
     for a, b in pairs:
+        # inline rather than errors._require_indices: this runs once per column of the probe
         if not (isinstance(a, int) and 0 <= a < m):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
         if not (isinstance(b, int) and 0 <= b < n):
@@ -254,9 +256,7 @@ def word_to_array(word: Word) -> TwoRowedArray:
 def class_size(word: Word, max_len: int = DEFAULT_MAX_WORD_LEN) -> int:
     """Number of words congruent to this one: the count of standard fillings
     of the shape of its tableau."""
-    if len(word) > max_len:
-        raise _bound_error("word of length {observed} exceeds the class size bound {limit}",
-                           len(word), max_len, "max_len")
+    _require_length(word, max_len, "class size")
     return enumerate_standard(tableau_of_word(word).shape)
 
 
@@ -377,9 +377,7 @@ def _column_walk(
     the order of `enumerate_arrays`, as one live list: each yield drops
     zero or more columns from the end of the list and then appends one,
     apart from the first, which yields the empty list."""
-    _require_int("max_cols", max_cols)
-    if max_cols < 0:
-        raise ValueError("max_cols must be nonnegative")
+    _require_int("max_cols", max_cols, 0)
     pairs = [(a, b) for b in range(len(bottom_alphabet)) for a in range(len(top_alphabet))]
     par = _pair_parities(top_alphabet, bottom_alphabet)
     n = len(pairs)
@@ -477,6 +475,8 @@ def symmetry_probe(
     of max_cols columns keeps none.  Every cell is checked when it is placed, and a checkpoint's
     cells were checked when it was built.
     """
+    _require_int("examples_per_cell", examples_per_cell)
+    _require_setting("max_arrays", max_arrays)
     aligned = _aligned(top_alphabet, bottom_alphabet)
     top_letters = top_alphabet.letters
     bottom_letters = bottom_alphabet.letters

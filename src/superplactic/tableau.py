@@ -27,10 +27,10 @@ from .alphabet import SignedAlphabet, conjugate_alphabet
 from .errors import (
     AlphabetError,
     AlphabetMismatchError,
-    ForeignLetterError,
     ShapeError,
     ValidationError,
     _excerpt,
+    _require_indices,
 )
 from .shape import Partition, SkewDiagram, as_partition, conjugate_partition
 
@@ -53,12 +53,7 @@ class Word:
 
     @classmethod
     def from_indices(cls, alphabet: SignedAlphabet, indices: Iterable[int]) -> "Word":
-        indices = tuple(indices)
-        n = len(alphabet)
-        for i in indices:
-            if not (isinstance(i, int) and 0 <= i < n):
-                raise ForeignLetterError("letter index %s out of range" % _excerpt(i))
-        return cls._trusted(alphabet, indices)
+        return cls._trusted(alphabet, _require_indices(indices, len(alphabet)))
 
     @classmethod
     def _trusted(cls, alphabet: SignedAlphabet, letters: tuple[int, ...]) -> "Word":
@@ -187,9 +182,7 @@ def _check_cells(rows: Sequence[Sequence[int]], inner: Sequence[int], alphabet: 
     row_next = alphabet.row_next
     col_next = alphabet.col_next
     for i, row in enumerate(rows):
-        for x in row:
-            if not (isinstance(x, int) and 0 <= x < n):
-                raise ForeignLetterError("letter index %s out of range" % _excerpt(x))
+        _require_indices(row, n)
         for j in range(len(row) - 1):
             if row[j + 1] < row_next[row[j]]:
                 raise _cell_error("row", i + 1, inner[i] + j + 2)

@@ -110,36 +110,6 @@ def greene_family_max(word, k, mode):
     return best
 
 
-def scan_schensted(values, bump_equal=False):
-    """Row insertion of a sequence of integers by linear scanning.
-
-    With bump_equal=False an entry bumps the leftmost strictly greater
-    entry (the classical rule for an all-even alphabet); with
-    bump_equal=True it bumps the leftmost greater-or-equal entry (the
-    rule every letter of an all-odd alphabet follows).
-    """
-    rows = []
-    for x in values:
-        cur = x
-        i = 0
-        while True:
-            if i == len(rows):
-                rows.append([cur])
-                break
-            row = rows[i]
-            hit = None
-            for j, y in enumerate(row):
-                if y > cur or (bump_equal and y == cur):
-                    hit = j
-                    break
-            if hit is None:
-                row.append(cur)
-                break
-            row[hit], cur = cur, row[hit]
-            i += 1
-    return tuple(tuple(r) for r in rows)
-
-
 def all_signatures(k):
     """Every parity assignment for k letters."""
     return list(itertools.product((0, 1), repeat=k))
@@ -211,6 +181,62 @@ def _scan_col_insert(rows, x, parities):
             rows[i].append(x)
             return i, j
         j += 1
+
+
+def insertion_tableau(xs, parities):
+    """The row-insertion tableau of the letter indices xs, inserted left to
+    right by _scan_row_insert, as a tuple of rows.  With all parities 0 this
+    is classical Schensted insertion; with all parities 1 every letter bumps
+    the leftmost entry greater than or equal to it."""
+    rows = []
+    for x in xs:
+        _scan_row_insert(rows, x, parities)
+    return tuple(map(tuple, rows))
+
+
+def lr_coefficients(lam, nu):
+    """The Littlewood-Richardson coefficients c^mu_{lam nu}: a dict from
+    each shape mu to its nonzero coefficient.
+
+    c^mu_{lam nu} counts the semistandard fillings of mu/lam with content
+    nu (letter i used nu_i times, rows weakly increasing, columns strictly)
+    whose reverse reading word, each row from right to left and the rows
+    from the top down, is a lattice word: every prefix holds at least as
+    many letters i as letters i + 1.  The fillings are built letter by
+    letter, the cells of letter i being any horizontal strip of nu_i cells
+    on the shape so far, so each is semistandard; the lattice condition is
+    checked by a plain scan of the whole reading word.
+    """
+    lam, nu = tuple(lam), tuple(nu)
+    height = len(lam) + len(nu)
+    counts = {}
+
+    def place(i, shape, rows):
+        if i == len(nu):
+            if _is_lattice([x for row in rows for x in reversed(row)]):
+                mu = tuple(part for part in shape if part)
+                counts[mu] = counts.get(mu, 0) + 1
+            return
+        # row r may grow up to the old length of row r - 1: no two new cells share a column
+        caps = [nu[i]] + [shape[r - 1] - shape[r] for r in range(1, height)]
+        for adds in itertools.product(*(range(cap + 1) for cap in caps)):
+            if sum(adds) == nu[i]:
+                place(i + 1, [part + a for part, a in zip(shape, adds)],
+                      [row + [i] * a for row, a in zip(rows, adds)])
+
+    place(0, list(lam) + [0] * len(nu), [[] for _ in range(height)])
+    return counts
+
+
+def _is_lattice(word):
+    """Whether every prefix of the word holds at least as many letters i as
+    letters i + 1, for every i >= 0."""
+    seen = {}
+    for x in word:
+        seen[x] = seen.get(x, 0) + 1
+        if x and seen[x] > seen.get(x - 1, 0):
+            return False
+    return True
 
 
 def super_tableau_count(lam, parities):

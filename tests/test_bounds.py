@@ -1,9 +1,11 @@
 """Every size bound names what it saw, the limit it broke and the setting
-that raises it, and keeps its message; a huge integer argument is cut in
-the message of its domain error."""
+that raises it, and keeps its message; a bound setting that is not an
+integer is such an error too.  A huge integer argument is cut in the
+message of its domain error, and each argument gate words its error."""
 
 import pytest
 
+import superplactic.plactic
 from superplactic import (
     AlphabetError,
     BoundExceededError,
@@ -86,6 +88,31 @@ SITES = {
     "probe_arrays": (
         {}, lambda: symmetry_probe(_mixed(), _mixed(), 3, max_arrays=5),
         "probe exceeded 5 arrays", 6, 5, "max_arrays",
+    ),
+    # every bound setting must be an integer, checked on the call
+    "class_length_text": (
+        {}, lambda: plactic_class(Word(_evens(), ["1"]), max_len="9"),
+        "max_len must be an integer, got '9'", "9", None, "max_len",
+    ),
+    "class_size_length_none": (
+        {}, lambda: class_size(Word(_mixed(), ["1"]), max_len=None),
+        "max_len must be an integer, got None", None, None, "max_len",
+    ),
+    "greene_length_text": (
+        {}, lambda: greene_row(Word(_evens(), ["1"]), 1, max_len="9"),
+        "max_len must be an integer, got '9'", "9", None, "max_len",
+    ),
+    "pieri_cells_text": (
+        {}, lambda: pieri_check((1,), 1, _mixed(), max_cells="12"),
+        "max_cells must be an integer, got '12'", "12", None, "max_cells",
+    ),
+    "probe_arrays_text": (
+        {}, lambda: symmetry_probe(_mixed(), _mixed(), 2, max_arrays="5"),
+        "max_arrays must be an integer, got '5'", "5", None, "max_arrays",
+    ),
+    "probe_arrays_fractional": (
+        {}, lambda: symmetry_probe(_mixed(), _mixed(), 2, max_arrays=2.5),
+        "max_arrays must be an integer, got 2.5", 2.5, None, "max_arrays",
     ),
 }
 
@@ -174,3 +201,46 @@ def test_non_integer_gives_the_out_of_range_error(name):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# name: (a call that one argument gate rejects, the error, its message)
+GATE_CALLS = {
+    "probe_examples_per_cell": (lambda: symmetry_probe(_mixed(), _mixed(), 2, examples_per_cell="3"),
+                                ValueError, "examples_per_cell must be an integer, got '3'"),
+    "s_row_p": (lambda: s_row(-1, _mixed()), ValueError, "p must be at least 0"),
+    "s_col_p": (lambda: s_col(-1, _mixed()), ValueError, "p must be at least 0"),
+    "pieri_p": (lambda: pieri_check((1,), -1, _mixed()), ValueError, "p must be at least 0"),
+    "enumerate_arrays_max_cols": (lambda: enumerate_arrays(_mixed(), _mixed(), -1), ValueError,
+                                  "max_cols must be at least 0"),
+    "probe_max_cols": (lambda: symmetry_probe(_mixed(), _mixed(), -1), ValueError,
+                       "max_cols must be at least 0"),
+    "greene_row_k": (lambda: greene_row(Word(_mixed(), ["1"]), 0), ValueError, "k must be at least 1"),
+    "greene_via_shape_k": (lambda: greene_via_shape(Word(_mixed(), ["1"]), 0), ValueError,
+                           "k must be at least 1"),
+    "greene_profile_mode": (lambda: greene_profile(Word(_mixed(), ["1"]), 1, "diag"), ValueError,
+                            "mode must be 'row' or 'col'"),
+    "greene_via_shape_mode": (lambda: greene_via_shape(Word(_mixed(), ["1"]), 1, "diag"), ValueError,
+                              "mode must be 'row' or 'col'"),
+    "pieri_mode": (lambda: pieri_check((1,), 1, _mixed(), mode="diag"), ValueError,
+                   "mode must be 'row' or 'col'"),
+    "check_tableau": (lambda: check_tableau(Tableau(_mixed(), [[0, 5]])), ForeignLetterError,
+                      "letter index 5 out of range"),
+    "to_symbols": (lambda: _mixed().to_symbols([0, -1]), ForeignLetterError, "letter index -1 out of range"),
+}
+
+
+@pytest.mark.parametrize("name", GATE_CALLS)
+def test_argument_gate_words_its_error(name):
+    call, error, message = GATE_CALLS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_greene_via_shape_checks_its_mode_before_inserting(monkeypatch):
+    def no_insertion(word):
+        raise AssertionError("inserted before the mode was checked")
+
+    monkeypatch.setattr(superplactic.plactic, "tableau_of_word", no_insertion)
+    with pytest.raises(ValueError, match="mode must be"):
+        greene_via_shape(Word(_mixed(), ["1"]), 1, "diag")

@@ -30,7 +30,7 @@ from superplactic import (
     SkewDiagram,
 )
 
-from oracles import _scan_col_insert, _scan_row_insert, all_signatures, scan_schensted
+from oracles import _scan_col_insert, _scan_row_insert, all_signatures, insertion_tableau
 
 
 def small_tableaux(alphabet, max_cells):
@@ -88,13 +88,13 @@ class TestBumpRules:
     def test_all_even_matches_scan_oracle(self, evens3):
         for letters in itertools.product(range(3), repeat=5):
             w = Word.from_indices(evens3, letters)
-            assert tableau_of_word(w).rows == scan_schensted(letters)
+            assert tableau_of_word(w).rows == insertion_tableau(letters, (0, 0, 0))
 
     def test_all_odd_matches_scan_oracle(self):
         odds3 = make_alphabet(["1", "2", "3"], [1, 1, 1])
         for letters in itertools.product(range(3), repeat=5):
             w = Word.from_indices(odds3, letters)
-            assert tableau_of_word(w).rows == scan_schensted(letters, bump_equal=True)
+            assert tableau_of_word(w).rows == insertion_tableau(letters, (1, 1, 1))
 
 
 class TestDeletionErrors:
@@ -120,6 +120,22 @@ class TestDeletionErrors:
             col_delete(t, 3)
         with pytest.raises(CornerError):
             col_delete(Tableau.empty(mixed4), 1)
+
+
+class TestDeletionStopsAndEjects:
+    """A deletion whose in-hand letter finds nothing to swap with stops and
+    ejects it.  Valid tableaux never get there; the trusted constructor
+    lets in ones that do."""
+
+    def test_row_deletion(self, evens2):
+        # row 1 holds only 2: nothing there is less than the in-hand 1
+        t, x = row_delete(Tableau(evens2, [[1], [0]]), 2)
+        assert (t.rows, x) == (((1,),), "1")
+
+    def test_column_deletion(self, evens2):
+        # column 1 holds only 2: nothing there is at most the in-hand 1
+        t, x = col_delete(Tableau(evens2, [[1, 0]]), 2)
+        assert (t.rows, x) == (((1,),), "1")
 
 
 class TestInverses:

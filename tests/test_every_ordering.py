@@ -12,19 +12,13 @@ import pytest
 
 from superplactic import Word, greene_profile, make_alphabet, plactic_class
 
-from oracles import all_signatures, hook_length_count, super_rsk
+from oracles import all_signatures, hook_length_count, insertion_tableau
 
 SIGNATURES = all_signatures(4)
 
 
 def _alphabet(signature):
     return make_alphabet(["1", "2", "3", "4"], list(signature))
-
-
-def _oracle_tableau(xs, parities):
-    """The row-insertion tableau of the index tuple xs, as a tuple of rows."""
-    t, _ = super_rsk([(x, 0) for x in xs], parities, (0,))
-    return t
 
 
 @pytest.mark.parametrize("signature", SIGNATURES)
@@ -40,7 +34,7 @@ def test_classes_are_fibers_of_every_signature(signature):
         for content in itertools.combinations_with_replacement(range(4), length):
             fibers = {}
             for xs in set(itertools.permutations(content)):
-                fibers.setdefault(_oracle_tableau(xs, signature), set()).add(xs)
+                fibers.setdefault(insertion_tableau(xs, signature), set()).add(xs)
             for t, fiber in fibers.items():
                 members = {w.letters for w in plactic_class(Word.from_indices(alphabet, min(fiber)))}
                 assert members == fiber, (signature, t)
@@ -54,7 +48,7 @@ def test_greene_profile_is_the_shape_of_every_signature(signature):
     alphabet = _alphabet(signature)
     for length in range(6):
         for xs in itertools.product(range(4), repeat=length):
-            shape = [len(row) for row in _oracle_tableau(xs, signature)]
+            shape = [len(row) for row in insertion_tableau(xs, signature)]
             w = Word.from_indices(alphabet, xs)
             conj = [sum(part > j for part in shape) for j in range(shape[0] if shape else 0)]
             for mode, lam in (("row", shape), ("col", conj)):

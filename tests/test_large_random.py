@@ -28,7 +28,7 @@ from superplactic import (
     validate_array,
 )
 
-from oracles import _scan_col_insert, _scan_row_insert, signed_knuth_neighbors, super_rsk
+from oracles import _scan_col_insert, _scan_row_insert, insertion_tableau, signed_knuth_neighbors, super_rsk
 
 
 def _alphabet(rng, size, parities=None):
@@ -128,8 +128,7 @@ def test_greene_profile_is_the_oracle_shape_on_long_words(mode):
     for _ in range(12):
         alphabet = _alphabet(rng, rng.randint(2, 10))
         xs = [rng.randrange(len(alphabet)) for _ in range(rng.randint(100, 300))]
-        t, _ = super_rsk([(x, 0) for x in xs], alphabet.parities, (0,))
-        shape = [len(row) for row in t]
+        shape = [len(row) for row in insertion_tableau(xs, alphabet.parities)]
         if mode == "col":
             shape = [sum(part > j for part in shape) for j in range(shape[0])]
         sums = tuple(sum(shape[:k]) for k in (1, 2, 3))
@@ -160,9 +159,7 @@ def test_bumping_lemmas_on_random_tableaux(mode):
     for _ in range(60):
         alphabet = _alphabet(rng, rng.randint(2, 12))
         par = alphabet.parities
-        rows = []
-        for _ in range(rng.randint(30, 100)):
-            _scan_row_insert(rows, rng.randrange(len(alphabet)), par)
+        rows = insertion_tableau([rng.randrange(len(alphabet)) for _ in range(rng.randint(30, 100))], par)
         tableau = check_tableau(Tableau(alphabet, rows))
         for _ in range(10):
             x = rng.randrange(len(alphabet))

@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superplactic import (
+    AlphabetMismatchError,
     BoundExceededError,
     PlacticClass,
     Word,
@@ -28,14 +28,13 @@ from superplactic import (
 )
 from superplactic.plactic import MAX_STATES_ENV
 
-from oracles import all_signatures, classical_knuth_neighbors, greene_family_max, signed_knuth_neighbors
-
-
-def all_words(alphabet, max_len, min_len=0):
-    n = len(alphabet.letters)
-    for length in range(min_len, max_len + 1):
-        for letters in itertools.product(range(n), repeat=length):
-            yield Word.from_indices(alphabet, letters)
+from oracles import (
+    all_signatures,
+    classical_knuth_neighbors,
+    greene_family_max,
+    signed_knuth_neighbors,
+    words_over,
+)
 
 
 def knuth_closure(word):
@@ -77,7 +76,8 @@ class TestWordKinds:
 
 class TestNeighbors:
     def test_all_even_matches_classical_moves(self, evens3):
-        for w in all_words(evens3, 6):
+        for xs in words_over(evens3, 6):
+            w = Word.from_indices(evens3, xs)
             got = {v.letters for v in knuth_neighbors(w)}
             assert got == classical_knuth_neighbors(w.letters)
 
@@ -85,17 +85,20 @@ class TestNeighbors:
         for n in range(1, 5):
             for sig in all_signatures(n):
                 alphabet = make_alphabet([str(i) for i in range(1, n + 1)], sig)
-                for w in all_words(alphabet, 5):
+                for xs in words_over(alphabet, 5):
+                    w = Word.from_indices(alphabet, xs)
                     got = {v.letters for v in knuth_neighbors(w)}
                     assert got == signed_knuth_neighbors(w.letters, sig), (sig, w.letters)
 
     def test_symmetric(self, mixed4):
-        for w in all_words(mixed4, 5):
+        for xs in words_over(mixed4, 5):
+            w = Word.from_indices(mixed4, xs)
             for v in knuth_neighbors(w):
                 assert w in knuth_neighbors(v)
 
     def test_preserve_content_degree_and_tableau(self, mixed4):
-        for w in all_words(mixed4, 5, min_len=3):
+        for xs in words_over(mixed4, 5, min_len=3):
+            w = Word.from_indices(mixed4, xs)
             t = tableau_of_word(w)
             for v in knuth_neighbors(w):
                 assert sorted(v.symbols) == sorted(w.symbols)
@@ -108,7 +111,8 @@ class TestNeighbors:
         for n in range(1, 4):
             for sig in all_signatures(n):
                 alphabet = make_alphabet([str(i) for i in range(1, n + 1)], sig)
-                for w in all_words(alphabet, 6):
+                for xs in words_over(alphabet, 6):
+                    w = Word.from_indices(alphabet, xs)
                     neighbors = knuth_neighbors(w)
                     assert w not in neighbors
                     for v in neighbors:
@@ -133,13 +137,15 @@ class TestClasses:
         assert plactic_class(w) == {w}
 
     def test_class_contains_word_and_canonical(self, mixed4):
-        for w in all_words(mixed4, 4):
+        for xs in words_over(mixed4, 4):
+            w = Word.from_indices(mixed4, xs)
             cls = plactic_class(w)
             assert w in cls
             assert canonical_word(w) in cls
 
     def test_classes_partition_by_tableau(self, mixed3):
-        for w in all_words(mixed3, 4, min_len=1):
+        for xs in words_over(mixed3, 4, min_len=1):
+            w = Word.from_indices(mixed3, xs)
             t = tableau_of_word(w)
             for v in plactic_class(w):
                 assert tableau_of_word(v) == t
@@ -191,7 +197,8 @@ class TestClasses:
 
 class TestCanonical:
     def test_reading_word_of_tableau(self, mixed4):
-        for w in all_words(mixed4, 4):
+        for xs in words_over(mixed4, 4):
+            w = Word.from_indices(mixed4, xs)
             canon = canonical_word(w)
             assert canon == word_of(tableau_of_word(w))
             assert canonical_word(canon) == canon
@@ -200,6 +207,10 @@ class TestCanonical:
         assert equivalent(Word(evens2, ["1", "2", "1"]), Word(evens2, ["2", "1", "1"]))
         assert not equivalent(Word(evens2, ["1", "2", "1"]), Word(evens2, ["1", "1", "2"]))
         assert equivalent(Word(evens2), Word(evens2))
+
+    def test_equivalent_rejects_two_alphabets(self, evens2, mixed2):
+        with pytest.raises(AlphabetMismatchError, match="words live over different alphabets"):
+            equivalent(Word(evens2, ["1"]), Word(mixed2, ["1"]))
 
     def test_class_wrapper(self, evens2):
         pc = PlacticClass.of(Word(evens2, ["1", "2", "1"]))
@@ -260,7 +271,8 @@ class TestGreene:
                 assert greene_profile(w, max_k, mode) == tuple(range(1, max_k + 1)), (sig, x)
 
     def test_profile_weakly_increasing_and_capped(self, mixed4):
-        for w in all_words(mixed4, 4):
+        for xs in words_over(mixed4, 4):
+            w = Word.from_indices(mixed4, xs)
             prof = greene_profile(w, 4, "row")
             assert all(a <= b for a, b in zip(prof, prof[1:]))
             assert prof[-1] <= len(w)
@@ -278,13 +290,15 @@ class TestGreene:
             greene_profile(Word(mixed4, ["1"]), 1, "diag")
 
     def test_matches_family_search_mixed4(self, mixed4):
-        for w in all_words(mixed4, 4):
+        for xs in words_over(mixed4, 4):
+            w = Word.from_indices(mixed4, xs)
             for k in (1, 2, 3):
                 assert greene_row(w, k) == greene_family_max(w, k, "row")
                 assert greene_col(w, k) == greene_family_max(w, k, "col")
 
     def test_matches_family_search_longer_two_letters(self, mixed2):
-        for w in all_words(mixed2, 6, min_len=5):
+        for xs in words_over(mixed2, 6, min_len=5):
+            w = Word.from_indices(mixed2, xs)
             for k in (1, 2):
                 assert greene_row(w, k) == greene_family_max(w, k, "row")
                 assert greene_col(w, k) == greene_family_max(w, k, "col")
@@ -293,13 +307,15 @@ class TestGreene:
         for size in (1, 2, 3):
             for sig in all_signatures(size):
                 alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
-                for w in all_words(alphabet, 5):
+                for xs in words_over(alphabet, 5):
+                    w = Word.from_indices(alphabet, xs)
                     for k in (1, 2, 3):
                         assert greene_row(w, k) == greene_family_max(w, k, "row"), (sig, w, k)
                         assert greene_col(w, k) == greene_family_max(w, k, "col"), (sig, w, k)
 
     def test_via_shape_agrees(self, mixed4):
-        for w in all_words(mixed4, 4):
+        for xs in words_over(mixed4, 4):
+            w = Word.from_indices(mixed4, xs)
             lam = tableau_of_word(w).shape
             conj = conjugate_partition(lam)
             for k in (1, 2, 3):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import superplactic.ring
@@ -24,7 +26,31 @@ from superplactic import (
 )
 from superplactic.ring import _strips
 
-from oracles import all_signatures, super_tableau_count
+from oracles import all_signatures, hook_length_count, lr_coefficients, super_tableau_count
+
+
+def lr_differences(letters, max_size, max_total):
+    """Check the Littlewood-Richardson rule of the ring on every signature
+    of `letters` letters: ring_product(s_lambda(lam), s_lambda(nu)) against
+    the sum of s_lambda(mu) added c^mu_{lam nu} times, for every pair of
+    nonempty shapes with |lam|, |nu| <= max_size and |lam| + |nu| <=
+    max_total.  Returns the number of cases and the cases (signature, lam,
+    nu) whose two sides differ."""
+    shapes = [lam for n in range(1, max_size + 1) for lam in partitions(n)]
+    cases = [(lam, nu, lr_coefficients(lam, nu))
+             for lam in shapes for nu in shapes if sum(lam) + sum(nu) <= max_total]
+    differ = []
+    for sig in all_signatures(letters):
+        alphabet = make_alphabet([str(i) for i in range(1, letters + 1)], list(sig))
+        schur = {mu: s_lambda(mu, alphabet) for n in range(max_total + 1) for mu in partitions(n)}
+        for lam, nu, coefficients in cases:
+            right = FormalSum(alphabet)
+            for mu, c in coefficients.items():
+                for _ in range(c):
+                    right = right + schur[mu]
+            if ring_product(schur[lam], schur[nu]) != right:
+                differ.append((sig, lam, nu))
+    return len(cases) * 2 ** letters, differ
 
 
 class TestFormalSum:
@@ -54,6 +80,13 @@ class TestFormalSum:
         f = FormalSum(evens3, [(t, 1), (t, 3)])
         assert f.coefficient(t) == 4
         assert len(f) == 1
+
+    def test_sum_and_a_number_do_not_mix(self, evens3):
+        f = s_row(1, evens3)
+        with pytest.raises(TypeError):
+            f + 1
+        with pytest.raises(TypeError):
+            f - 1
 
     def test_alphabet_mismatch(self, evens3, mixed3):
         with pytest.raises(AlphabetMismatchError):
@@ -291,3 +324,40 @@ class TestPieri:
     def test_bad_mode(self, mixed3):
         with pytest.raises(ValueError):
             pieri_check((2, 1), 2, mixed3, mode="diag")
+
+
+class TestLittlewoodRichardson:
+    def test_oracle_classical_values(self):
+        assert lr_coefficients((2, 1), (2, 1))[(3, 2, 1)] == 2
+        assert lr_coefficients((1,), (1,)) == {(2,): 1, (1, 1): 1}
+        assert lr_coefficients((2, 1), ()) == {(2, 1): 1}
+        assert lr_coefficients((1, 1), (2,)) == {(3, 1): 1, (2, 1, 1): 1}
+
+    def test_oracle_dimension_count(self):
+        """Sum over mu of c^mu_{lam nu} f^mu is C(|lam| + |nu|, |lam|) f^lam f^nu,
+        f counting standard fillings, on every pair of shapes of at most 5
+        cells each."""
+        shapes = [lam for n in range(6) for lam in partitions(n)]
+        for lam in shapes:
+            for nu in shapes:
+                total = sum(c * hook_length_count(mu) for mu, c in lr_coefficients(lam, nu).items())
+                want = math.comb(sum(lam) + sum(nu), sum(lam)) * hook_length_count(lam) * hook_length_count(nu)
+                assert total == want, (lam, nu)
+
+    def test_product_is_the_lr_sum_on_every_four_letter_signature(self):
+        """All 16 signatures of 4 letters, |lam|, |nu| <= 4 and |lam| + |nu| <= 7."""
+        assert lr_differences(4, 4, 7) == (1536, [])
+
+    def test_wrong_insertion_breaks_the_lr_sum(self, monkeypatch):
+        """The check above sees a wrong insertion, which appends every letter
+        to the first row."""
+
+        def append_to_first_row(rows, x, col_next):
+            if not rows:
+                rows.append([])
+            rows[0].append(x)
+            return 0
+
+        monkeypatch.setattr(superplactic.ring, "_bump_row", append_to_first_row)
+        _, differ = lr_differences(2, 2, 4)
+        assert ((0, 0), (1,), (1,)) in differ

@@ -64,10 +64,11 @@ def worked_array(split24):
 
 
 class TestValidateArray:
-    def test_accepts_worked_columns(self, worked_array):
+    def test_accepts_worked_columns(self, worked_array, split24):
         assert worked_array.top_symbols == ("2", "1", "1", "1", "6", "5", "4", "3")
         assert worked_array.bottom_symbols == ("1", "2", "2", "2", "3", "4", "5", "6")
         assert worked_array.pretty() == "2 1 1 1 6 5 4 3\n1 2 2 2 3 4 5 6"
+        assert TwoRowedArray(split24, split24).pretty() == "(empty)"
 
     def test_column_order_is_bottom_major(self, split24):
         with pytest.raises(ValidationError):
@@ -342,6 +343,17 @@ class TestSusy:
         arr = validate_array([("3", "1")], mixed4, mixed4)
         with pytest.raises(HypothesisError):
             check_susy(arr)
+
+    def test_unaligned_alphabets_rejected(self, mixed4):
+        evens_last = make_alphabet(["1", "2", "3", "4"], [1, 1, 0, 0])
+        arr = validate_array([("1", "3")], mixed4, evens_last)
+        with pytest.raises(HypothesisError, match="aligned parity blocks"):
+            check_susy(arr)
+
+    def test_split_rejects_odd_pair(self, mixed4):
+        arr = validate_array([("3", "1")], mixed4, mixed4)
+        with pytest.raises(HypothesisError, match="pair parity 1"):
+            split_array(arr)
 
     def test_interleaved_alphabet_rejected(self, mixed3):
         arr = validate_array([("1", "1")], mixed3, mixed3)

@@ -54,6 +54,10 @@ class TestWord:
         w = Word(mixed4, ["1", "3"]) + Word(mixed4, ["2"])
         assert w.symbols == ("1", "3", "2")
 
+    def test_concat_rejects_a_non_word(self, mixed4):
+        with pytest.raises(TypeError):
+            Word(mixed4, ["1"]) + 1
+
     def test_concat_rejects_other_alphabet(self, mixed4, mixed3):
         with pytest.raises(AlphabetMismatchError):
             Word(mixed4, ["1"]) + Word(mixed3, ["1"])
@@ -216,6 +220,12 @@ class TestSplitByThreshold:
         with pytest.raises(AlphabetError, match="threshold .* out of range"):
             split_by_threshold(t, k)
 
+    def test_small_cells_must_form_a_straight_shape(self, mixed4):
+        """Never so in a valid tableau: a lower row with more entries below
+        the threshold breaks a column.  The trusted constructor lets one in."""
+        with pytest.raises(ValidationError, match="do not form a straight shape"):
+            split_by_threshold(Tableau(mixed4, [[3], [0]]), 1)
+
     def test_pieces_partition_the_cells(self, mixed4):
         for t in small_tableaux(mixed4, 5):
             for k in range(5):
@@ -376,6 +386,10 @@ class TestSkewTableau:
         assert str(exc.value) == "inner shape (1, 1, 1) is not contained in outer shape (2, 1)"
         with pytest.raises(ShapeError, match="partition parts must weakly decrease"):
             SkewTableau(mixed4, (1, 2), (), [[0], [0, 1]])
+
+    def test_one_row_per_outer_row(self, mixed4):
+        with pytest.raises(ShapeError, match="expected 2 rows, got 1"):
+            SkewTableau(mixed4, (2, 2), (1,), [[2]])
 
     def test_row_length_must_match_region(self, mixed4):
         with pytest.raises(ShapeError):
