@@ -23,14 +23,19 @@ Insertion that bumps nothing appends x to the end of the row (or the bottom
 of the column).  A deletion whose in-hand letter finds nothing to swap with
 stops there and ejects it.
 
-The four private primitives work on lists of letter-index rows in place and
+The private primitives work on lists of letter-index rows in place and
 share one 0-based convention: `_bump_row` and `_bump_col` return the row of
 the cell they add, and `_unbump_row` and `_unbump_col` take the row whose
 last cell they remove (for a column deletion, the bottom cell of its
-column).  Their traces hold 0-based (row, column, letter index) steps.  The
-public functions keep 1-based rows and columns: an insertion reports the row
-(or column) of the cell it adds, and a deletion takes a row (or column)
-index.  Only the `*_trace` insertions record the bumping chain.
+column).  Their traces hold 0-based (row, column, letter index) steps.  Two
+batch primitives move a horizontal strip at once: `_insert_row_word` row
+inserts a row word and returns the count of cells each 0-based row gained,
+which is the strip, and `_delete_row_strip` takes such counts and returns
+the ejected letters, the same rows and letters as one `_bump_row` per letter
+or one `_unbump_row` per cell.  The public functions keep 1-based rows and
+columns: an insertion reports the row (or column) of the cell it adds, and
+a deletion takes a row (or column) index.  Only the `*_trace` insertions
+record the bumping chain.
 
 The module-level functions are pure: they copy the input tableau and return
 fresh objects.
@@ -38,7 +43,7 @@ fresh objects.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .errors import AlphabetMismatchError, CornerError, _excerpt
 from .tableau import Tableau, Word
@@ -83,6 +88,87 @@ def _unbump_row(rows: list[list[int]], r: int, row_next: tuple[int, ...]) -> int
             break
         row[jj], x = x, row[jj]
     return x
+
+
+def _insert_row_word(rows: list[list[int]], xs: list[int], col_next: tuple[int, ...]) -> list[int]:
+    """Row insert the nonempty row word xs (each letter at least row_next of
+    the one before), mutating rows one row at a time; returns the number of
+    cells added to each 0-based row that the letters reached.
+
+    A row meets its letters in the order that inserting them one by one
+    would bring them, so running row by row gives the same rows.  A run of
+    equal letters x replaces row[j:j+k] with j = bisect_left(row,
+    col_next[x]), appending what reaches past the end; the letters it
+    bumps, in order, are the next row's row word, and a new row takes its
+    row word whole."""
+    grown = []
+    for row in rows:
+        before = len(row)
+        bumped: list[int] = []
+        t = 0
+        while t < len(xs):
+            x = xs[t]
+            k = bisect_right(xs, x, t)
+            j = bisect_left(row, col_next[x])
+            bumped += row[j:j + k - t]
+            row[j:j + k - t] = xs[t:k]
+            t = k
+        grown.append(len(row) - before)
+        if not bumped:
+            return grown
+        xs = bumped
+    rows.append(list(xs))
+    grown.append(len(xs))
+    return grown
+
+
+def _delete_row_strip(rows: list[list[int]], counts: list[int], row_next: tuple[int, ...]) -> list[int]:
+    """Delete the last counts[r] cells of each 0-based row r, a horizontal
+    strip, mutating rows; returns the ejected letter indices in the order
+    of one `_unbump_row` per cell, top row first and right to left in a row.
+
+    Works from the lowest row up: each row pops its own cells, right to
+    left, then swaps the letters arriving from below in their order, one
+    slice per run of equal parity-0 letters.  A letter that finds nothing
+    to swap with leaves the deletion, as in `_unbump_row`; it travels up as
+    ~x, which no row touches, so it keeps its place in the order."""
+    hand: list[int] = []
+    left = False
+    for h in range(len(counts) - 1, -1, -1):
+        row = rows[h]
+        c = counts[h]
+        if c:
+            out = row[:-c - 1:-1]
+            del row[-c:]
+            if not row:
+                assert h == len(rows) - 1
+                rows.pop()
+        elif not hand:
+            continue
+        else:
+            out = []
+        t = 0
+        while t < len(hand):
+            x = hand[t]
+            k = t + 1
+            if x < 0:
+                out.append(x)
+                t = k
+                continue
+            bound = row_next[x]
+            if bound == x:  # parity 0
+                while k < len(hand) and hand[k] == x:
+                    k += 1
+            j = bisect_left(row, bound)
+            m = min(k - t, j)
+            out += row[j - m:j][::-1]
+            row[j - m:j] = hand[t:t + m]
+            if m < k - t:
+                left = True
+                out += [~x] * (k - t - m)
+            t = k
+        hand = out
+    return [~x if x < 0 else x for x in hand] if left else hand
 
 
 def _is_corner(rows: list[list[int]], r: int) -> bool:

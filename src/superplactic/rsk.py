@@ -11,11 +11,16 @@ bottom letter b has parity 0 and column inserted when b has parity 1, and b
 is then placed in U at the cell where T grew.  U is checked cell by cell
 as it grows, each new cell against its left and upper neighbours.  U only
 ever gains a cell at the end of a row and never changes a placed one, so
-these checks together are the full tableau check of the final U.  The
-inverse map peels the largest bottom letter back out of U, undoing a row
-deletion or a column deletion on T accordingly, until both tableaux are
-empty; sorting the recovered columns into the product order restores the
-array.
+these checks together are the full tableau check of the final U.  In a
+valid array the tops over one parity-0 bottom letter form a row word, and
+row inserting a row word adds a horizontal strip (the row bumping lemma),
+so `rsk_forward` inserts a long run of such columns as one word, row by
+row.  The inverse map peels each bottom letter of U as one strip, from the
+largest down: a horizontal strip for a parity-0 letter, deleted from T row
+by row, and a vertical strip for a parity-1 letter, deleted one column
+deletion per cell.  A U that is not semistandard has a letter that is not
+such a strip, and raises CornerError.  The recovered columns, each block
+sorted and the blocks taken in increasing bottom letter, form the array.
 
 Swapping the two rows of every column and re-sorting gives the involution
 on arrays.  An array "has symmetry" when the involution exchanges the roles
@@ -35,16 +40,18 @@ is larger than a.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 from .alphabet import SignedAlphabet, _pair_parities, make_alphabet
 from .bumping import (
     _bump_col,
     _bump_row,
-    _is_corner,
+    _delete_row_strip,
+    _insert_row_word,
     _unbump_col,
-    _unbump_row,
     tableau_of_word,
 )
 from .errors import (
@@ -81,7 +88,9 @@ class TwoRowedArray:
         bottom_alphabet: SignedAlphabet,
         pairs: Iterable[tuple[int, int]] = (),
     ):
-        pairs = tuple((a, b) for a, b in pairs)
+        # Exact-size tuple([...]), as in Tableau.__init__: a tuple grown by
+        # resizing is never taken from CPython's tuple free lists.
+        pairs = tuple([(a, b) for a, b in pairs])
         object.__setattr__(self, "top_alphabet", top_alphabet)
         object.__setattr__(self, "bottom_alphabet", bottom_alphabet)
         object.__setattr__(self, "pairs", pairs)
@@ -188,17 +197,97 @@ def _forward_rows(
         if r:
             above = urows[r - 1]
             if j >= len(above):
-                raise ShapeError("row lengths must weakly decrease, got %s"
-                                 % _excerpt([len(u) for u in urows]))
+                raise _longer_row_error(urows)
             if b < pcol[above[j]]:
                 raise _cell_error("column", r + 1, j + 1)
+
+
+# A run of fewer columns is bumped one column at a time.  For short runs
+# the slices that move a strip cost more than the bumps they replace; on
+# random arrays over 3-letter alphabets the two break even near 24 columns.
+_STRIP_MIN = 24
+
+
+def _forward_strips(
+    trows: list[list[int]],
+    urows: list[list[int]],
+    pairs: Sequence[tuple[int, int]],
+    top_alphabet: SignedAlphabet,
+    bottom_alphabet: SignedAlphabet,
+) -> None:
+    """`_forward_rows`, with the same rows and the same first fault, but a
+    run of at least _STRIP_MIN columns over one parity-0 bottom letter b,
+    whose tops form a row word, is row inserted as one word.  T then gains
+    a horizontal strip, and U gets b in its cells, checked in the order
+    that one bump per column would place them: lowest row first, and left
+    to right.  The columns between runs go to `_forward_rows`.
+    """
+    ppar = bottom_alphabet.parities
+    n = len(ppar)
+    prow = bottom_alphabet.row_next
+    pcol = bottom_alphabet.col_next
+    row_next = top_alphabet.row_next
+    m = len(row_next)
+    done = k = 0
+    reach = _STRIP_MIN - 1
+    starts = len(pairs) - reach  # the columns a run can start at
+    while k < starts:
+        a, b = pairs[k]
+        # exact types: a float or bool equal to an index forms no strip, so
+        # `_forward_rows` judges it as before
+        if (pairs[k + reach][1] != b or type(b) is not int or not 0 <= b < n or ppar[b]
+                or type(a) is not int or not 0 <= a < m):
+            k += 1
+            continue
+        xs = [a]
+        least = row_next[a]
+        for a, c in islice(pairs, k + 1, None):
+            if c != b or type(c) is not int or type(a) is not int or not least <= a < m:
+                break
+            xs.append(a)
+            least = row_next[a]
+        if len(xs) < _STRIP_MIN:
+            # a run starting inside xs ends where xs ends
+            k += len(xs)
+            continue
+        _forward_rows(trows, urows, pairs[done:k], top_alphabet, bottom_alphabet)
+        k = done = k + len(xs)
+        grown = _insert_row_word(trows, xs, top_alphabet.col_next)
+        # A row's new cells fail the column condition from some column on,
+        # as the row above increases, so its last cell stands for them all
+        # until one fails; then the first that fails raises.
+        for r in range(len(grown) - 1, -1, -1):
+            g = grown[r]
+            if not g:
+                continue
+            if r == len(urows):
+                urows.append([])
+            row = urows[r]
+            j = len(row)
+            if j and b < prow[row[-1]]:
+                raise _cell_error("row", r + 1, j + 1)
+            row += [b] * g
+            if r:
+                above = urows[r - 1]
+                if j + g > len(above) or b < pcol[above[j + g - 1]]:
+                    while j < len(above) and b >= pcol[above[j]]:
+                        j += 1
+                    del row[j + 1:]
+                    if j == len(above):
+                        raise _longer_row_error(urows)
+                    raise _cell_error("column", r + 1, j + 1)
+    _forward_rows(trows, urows, pairs[done:], top_alphabet, bottom_alphabet)
+
+
+def _longer_row_error(urows: list[list[int]]) -> ShapeError:
+    return ShapeError("row lengths must weakly decrease, got %s" % _excerpt([len(u) for u in urows]))
 
 
 def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
     """The correspondence: array to an equal-shape tableau pair (T, U)."""
     trows: list[list[int]] = []
     urows: list[list[int]] = []
-    _forward_rows(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
+    _forward_strips(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
     T = Tableau(array.top_alphabet, trows)
     U = Tableau(array.bottom_alphabet, urows)
     assert T.shape == U.shape
@@ -208,41 +297,74 @@ def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
 def rsk_inverse(t: Tableau, u: Tableau) -> TwoRowedArray:
     """Inverse correspondence: an equal-shape pair back to its array.
 
-    Takes the letters y of u from the largest down.  Each y sits at a
-    removable corner of u, found by one walk over the ends of u's rows: top
-    down when y has parity 0, so the lowest-index row ending in y, and
-    bottom up when y has parity 1, so the lowest-index column.  The corner
-    is removed from u, and a row deletion (parity 0) or a column deletion
-    (parity 1) from the last cell of the same row of t releases the
-    matching top letter.  The recovered columns, sorted into the product
-    order, form the array.
+    Takes the letters y of u from the largest down, each as one strip: the
+    copies of y that end u's rows must form a horizontal strip when y has
+    parity 0 and a vertical strip when y has parity 1, and y must be
+    smaller than every letter taken before it.  A u that is not
+    semistandard fails one of these tests and raises CornerError, naming
+    y.  The strip is removed from u, and its cells are deleted from t: as
+    one row deletion of the whole strip (parity 0), or as one column
+    deletion per cell, bottom row first (parity 1).  The ejected letters
+    are the top letters over y, last column first; sorted into that order
+    (which moves nothing for a valid pair) and collected for every y, they
+    form the array read backwards.
     """
     if t.shape != u.shape:
         raise ShapeError("tableaux have shapes %s and %s" % (_excerpt(t.shape), _excerpt(u.shape)))
     L = t.alphabet
     P = u.alphabet
+    parities = P.parities
+    row_next = L.row_next
+    col_next = L.col_next
     trows = [list(r) for r in t.rows]
     urows = [list(r) for r in u.rows]
-    pending = sorted(v for r in urows for v in r)
-    out = []
+    pairs: list[tuple[int, int]] = []  # the columns, last first
     while urows:
-        y = pending.pop()
-        even = P.parities[y] == 0
-        for r in (range(len(urows)) if even else range(len(urows) - 1, -1, -1)):
-            if urows[r][-1] == y and _is_corner(urows, r):
-                break
-        else:
-            raise CornerError(
-                "letter %s heads no removable %s corner; not a valid pair"
-                % (P.symbol(y), "row" if even else "column")
-            )
-        x = _unbump_row(trows, r, L.row_next) if even else _unbump_col(trows, r, L.col_next)
-        urows[r].pop()
-        if not urows[r]:
+        y = max([row[-1] for row in urows])
+        even = parities[y] == 0
+        if pairs and y >= pairs[-1][1]:
+            raise _strip_error(P, y, even)
+        # Bottom row up, each row that ends in y gives up its copies of y:
+        # the row keeps at least as many cells as the row below it holds
+        # (horizontal strip) or keeps (vertical strip).  Other rows keep
+        # their cells, and U's shape already passes them.
+        counts = [0] * len(urows)
+        tops = []
+        below = 0
+        r = len(urows)
+        for row in reversed(urows):
+            r -= 1
+            n = len(row)
+            if row[-1] != y:
+                below = n
+                continue
+            if even:
+                # bisect_left trusts the row's order; the count of y in the tail does not
+                k = bisect_left(row, y)
+                if k < below or row[k:].count(y) != n - k:
+                    raise _strip_error(P, y, even)
+                below = n
+                counts[r] = n - k
+            else:
+                k = n - 1
+                if k < below:
+                    raise _strip_error(P, y, even)
+                tops.append(_unbump_col(trows, r, col_next))
+                below = k
+            del row[k:]
+        if even:
+            tops = _delete_row_strip(trows, counts, row_next)
+        while urows and not urows[-1]:
             urows.pop()
-        out.append((x, y))
-    out.sort(key=lambda ab: (ab[1], ab[0]))
-    return TwoRowedArray(L, P, out)
+        tops.sort(reverse=True)
+        pairs += zip(tops, repeat(y))
+    pairs.reverse()
+    return TwoRowedArray(L, P, pairs)
+
+
+def _strip_error(alphabet: SignedAlphabet, y: int, even: bool) -> CornerError:
+    return CornerError("letter %s heads no removable %s corner; not a valid pair"
+                       % (alphabet.symbol(y), "row" if even else "column"))
 
 
 def word_to_array(word: Word) -> TwoRowedArray:

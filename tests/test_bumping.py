@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from superplactic import (
     word_of,
     SkewDiagram,
 )
+
+from superplactic.bumping import _bump_row, _delete_row_strip, _insert_row_word, _unbump_row
 
 from oracles import _scan_col_insert, _scan_row_insert, all_signatures, insertion_tableau
 
@@ -336,6 +339,63 @@ class TestRowWordGrowth:
             for letters in rows:
                 grown = row_insert_word(t, Word.from_indices(mixed4, letters))
                 assert is_horizontal_strip(SkewDiagram(grown.shape, t.shape))
+
+    def test_strip_primitives_match_one_bump_per_letter(self):
+        """On seeded row words over random signatures, inserted into the
+        oracle's tableaux of up to 30 cells, `_insert_row_word` gives the
+        rows of one `_bump_row` per letter and counts the cells each row
+        gained; `_delete_row_strip` on those counts gives the rows and the
+        ejected letters of one `_unbump_row` per cell, top row first and
+        right to left, and the ejected letters are the word reversed."""
+        rng = random.Random(1919)
+        straddles = odd_letters = 0
+        for _ in range(800):
+            k = rng.randint(1, 5)
+            alphabet = make_alphabet([str(i) for i in range(k)], [rng.randint(0, 1) for _ in range(k)])
+            par, col_next, row_next = alphabet.parities, alphabet.col_next, alphabet.row_next
+            start = [list(r) for r in insertion_tableau([rng.randrange(k) for _ in range(rng.randint(0, 30))], par)]
+            xs = sorted(rng.randrange(k) for _ in range(rng.randint(1, 14)))
+            xs = [x for t, x in enumerate(xs) if t == 0 or x != xs[t - 1] or par[x] == 0]
+            one = [r[:] for r in start]
+            ends = [_bump_row(one, x, col_next) for x in xs]
+            strip = [r[:] for r in start]
+            grown = _insert_row_word(strip, xs, col_next)
+            assert strip == one
+            assert grown == [ends.count(r) for r in range(max(ends) + 1)]
+            # a run of equal letters that bumps in the row and then runs past its end
+            straddles += any(x == y and e != f for x, y, e, f in zip(xs, xs[1:], ends, ends[1:]))
+            odd_letters += any(par[x] for x in xs)
+            back = [r[:] for r in one]
+            ejected = [_unbump_row(back, r, row_next) for r, c in enumerate(grown) for _ in range(c)]
+            assert (back, ejected) == (start, xs[::-1])
+            assert _delete_row_strip(strip, grown, row_next) == ejected
+            assert strip == back
+        assert straddles > 50 and odd_letters > 250, (straddles, odd_letters)
+
+    def test_strip_deletion_ejects_as_one_deletion_per_cell(self):
+        """On trusted tableaux whose rows increase but whose columns may
+        not, some in-hand letters find nothing to swap with and leave the
+        deletion; `_delete_row_strip` still gives the rows and the ejected
+        letters, in order, of one `_unbump_row` per cell."""
+        rng = random.Random(2020)
+        left = 0
+        for _ in range(1500):
+            k = rng.randint(1, 4)
+            alphabet = make_alphabet([str(i) for i in range(k)], [rng.randint(0, 1) for _ in range(k)])
+            lengths = sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 4))), reverse=True)
+            rows = [sorted(rng.randrange(k) for _ in range(n)) for n in lengths]
+            counts = [rng.randint(0, n - m) for n, m in zip(lengths, lengths[1:] + [0])]
+            one = [r[:] for r in rows]
+            ejected = []
+            for r, c in enumerate(counts):
+                for _ in range(c):
+                    top = one[0][:]
+                    ejected.append(_unbump_row(one, r, alphabet.row_next))
+                    # a letter ejected from row 0 was one of its entries, so this one left below it
+                    left += r > 0 and ejected[-1] not in top
+            assert _delete_row_strip(rows, counts, alphabet.row_next) == ejected
+            assert rows == one
+        assert left > 50, left
 
 
 @st.composite

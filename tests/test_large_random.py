@@ -4,8 +4,8 @@ Each check is seeded and compares the package with `oracles` only: the
 symmetry theorem on arrays of hundreds of columns, the symmetry probe on
 random pairs of 4-letter signatures, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
-oracle's insertion, the bumping lemmas on tableaux of up to 100 cells, and
-Greene's theorem on words of up to 300 letters.
+oracle's insertion and back, the bumping lemmas on tableaux of up to 100
+cells, and Greene's theorem on words of up to 300 letters.
 """
 
 import random
@@ -23,6 +23,7 @@ from superplactic import (
     make_alphabet,
     row_insert,
     rsk_forward,
+    rsk_inverse,
     symmetry_probe,
     tableau_of_word,
     validate_array,
@@ -118,6 +119,7 @@ def test_forward_matches_oracle_on_long_arrays():
         array = _random_array(rng, top, bottom, rng.randint(100, 700))
         t, u = rsk_forward(array)
         assert (t.rows, u.rows) == super_rsk(array.pairs, top.parities, bottom.parities)
+        assert rsk_inverse(t, u) == array
 
 
 @pytest.mark.parametrize("mode", ["row", "col"])

@@ -173,11 +173,12 @@ class TestForward:
     def test_row_longer_than_the_row_above(self, monkeypatch, evens3):
         """No insertion grows T off a partition shape, so a bump that puts
         the cells in rows 0, 1, 1 is patched in: the third cell makes row
-        2 of U longer than row 1."""
+        2 of U longer than row 1.  Each bottom letter heads one column, so
+        every column takes the one-bump path."""
         rows = iter([0, 1, 1])
         monkeypatch.setattr(superplactic.rsk, "_bump_row", lambda trows, a, col_next: next(rows))
         with pytest.raises(ShapeError, match=r"row lengths must weakly decrease, got \[1, 2\]"):
-            rsk_forward(TwoRowedArray(evens3, evens3, [(0, 0), (0, 1), (0, 1)]))
+            rsk_forward(TwoRowedArray(evens3, evens3, [(0, 0), (0, 1), (0, 2)]))
 
 
 def test_per_cell_check_is_the_full_check():
@@ -245,6 +246,118 @@ class TestInverse:
         bad = Tableau(mixed2, [(1,), (0,)])
         with pytest.raises(CornerError):
             rsk_inverse(t, bad)
+
+    def test_repeated_parity_one_letter_in_a_row(self, mixed2):
+        """2 has parity 1, so U = [2 2] breaks the row condition.  One
+        column deletion per 2 would return the array (1,2) (1,2), which
+        repeats a column of parity 1; the second 2 is not smaller than
+        the first, so this raises."""
+        with pytest.raises(CornerError, match="letter 2 heads no removable column corner"):
+            rsk_inverse(Tableau(mixed2, [(0, 0)]), Tableau(mixed2, [(1, 1)]))
+
+    def test_recording_tableau_with_one_fault(self):
+        """Seeded trusted U's that break exactly one row or column
+        condition, each made by changing one letter of a valid U, raise
+        CornerError; T is the valid insertion tableau of the same array."""
+        rng = random.Random(2019)
+        faults = {"row": 0, "column": 0}
+        for _ in range(1500):
+            top, bottom = (make_alphabet("abcd"[:k], [rng.randint(0, 1) for _ in range(k)])
+                           for k in (rng.randint(1, 4), rng.randint(2, 4)))
+            array = _random_valid_array(rng, top, bottom, rng.randint(1, 14))
+            t, u = rsk_forward(array)
+            rows = [list(row) for row in u.rows]
+            i = rng.randrange(len(rows))
+            rows[i][rng.randrange(len(rows[i]))] = rng.randrange(len(bottom))
+            broken = _broken_conditions(rows, bottom.parities)
+            if len(broken) != 1:
+                continue
+            faults[broken[0]] += 1
+            with pytest.raises(CornerError):
+                rsk_inverse(t, Tableau(bottom, rows))
+        assert min(faults.values()) > 100, faults
+
+
+def _random_valid_array(rng, top, bottom, size):
+    """`size` random columns sorted bottom letter first, with a repeated
+    column of pair parity 1 dropped."""
+    pairs = sorted(((rng.randrange(len(top)), rng.randrange(len(bottom))) for _ in range(size)),
+                   key=lambda ab: (ab[1], ab[0]))
+    par = (top.parities, bottom.parities)
+    keep = [p for k, p in enumerate(pairs)
+            if k == 0 or p != pairs[k - 1] or (par[0][p[0]] + par[1][p[1]]) % 2 == 0]
+    return TwoRowedArray(top, bottom, keep)
+
+
+def _broken_conditions(rows, parities):
+    """The condition, "row" or "column", of each pair of neighbouring cells
+    that breaks it: parity-0 letters may repeat along a row, parity-1
+    letters down a column, and letters otherwise increase."""
+    broken = []
+    for i, row in enumerate(rows):
+        for j, y in enumerate(row):
+            if j and not (row[j - 1] < y or (row[j - 1] == y and parities[y] == 0)):
+                broken.append("row")
+            if i and not (rows[i - 1][j] < y or (rows[i - 1][j] == y and parities[y] == 1)):
+                broken.append("column")
+    return broken
+
+
+class TestStrips:
+    """rsk_forward inserts each run of at least `_STRIP_MIN` columns over
+    one parity-0 bottom letter as one row word, and rsk_inverse peels each
+    letter of U as one strip.  Lowering `_STRIP_MIN` to 2 sends every such
+    run of two or more columns through the strip."""
+
+    def test_roundtrip_every_small_array(self, monkeypatch):
+        """Every array of up to 5 columns over every pair of 3-letter
+        signatures that repeats a parity-0 bottom letter, so that a strip
+        forms, comes back from rsk_inverse: 39,120 of the 70,528 arrays.
+        (Criterion 08 round-trips every array of up to 4 columns.)"""
+        monkeypatch.setattr(superplactic.rsk, "_STRIP_MIN", 2)
+        arrays = 0
+        for sig_top in all_signatures(3):
+            top = make_alphabet(["1", "2", "3"], sig_top)
+            for sig_bottom in all_signatures(3):
+                bottom = make_alphabet(["a", "b", "c"], sig_bottom)
+                for arr in enumerate_arrays(top, bottom, 5):
+                    bottoms = [b for _, b in arr.pairs]
+                    if any(b == c and sig_bottom[b] == 0 for b, c in zip(bottoms, bottoms[1:])):
+                        assert rsk_inverse(*rsk_forward(arr)) == arr
+                        arrays += 1
+        assert arrays == 39120
+
+    def test_strips_match_one_bump_per_column(self, monkeypatch):
+        """On seeded trusted arrays of up to 24 columns, unsorted or free to
+        repeat a pair of parity 1, the strips give the same pair, or raise
+        the same error naming the same cell and condition, as one bump per
+        column."""
+        rng = random.Random(1919)
+        arrays = []
+        for _ in range(1200):
+            top, bottom = (make_alphabet("abcd"[:k], [rng.randint(0, 1) for _ in range(k)])
+                           for k in (rng.randint(1, 4), rng.randint(1, 3)))
+            pairs = [(rng.randrange(len(top)), rng.randrange(len(bottom))) for _ in range(rng.randint(2, 24))]
+            if rng.random() < 0.7:
+                pairs.sort(key=lambda ab: (ab[1], ab[0]))
+            arrays.append(TwoRowedArray(top, bottom, pairs))
+        outcomes = []
+        strip_faults = 0
+        for strip_min in (2, 10**9):  # every run of two or more, then none
+            monkeypatch.setattr(superplactic.rsk, "_STRIP_MIN", strip_min)
+            outcomes.append([])
+            for array in arrays:
+                try:
+                    t, u = rsk_forward(array)
+                    outcomes[-1].append((t.rows, u.rows))
+                except ValidationError as exc:
+                    outcomes[-1].append((str(exc), exc.cell, exc.condition))
+                    tb = exc.__traceback__
+                    while tb.tb_next:
+                        tb = tb.tb_next
+                    strip_faults += tb.tb_frame.f_code.co_name == "_forward_strips"
+        assert outcomes[0] == outcomes[1]
+        assert strip_faults > 50 and sum(len(out) == 2 for out in outcomes[0]) > 200
 
 
 class TestWordEmbedding:
