@@ -32,7 +32,10 @@ batch primitives move a horizontal strip at once: `_insert_row_word` row
 inserts a row word and returns the count of cells each 0-based row gained,
 which is the strip, and `_delete_row_strip` takes such counts and returns
 the ejected letters, the same rows and letters as one `_bump_row` per letter
-or one `_unbump_row` per cell.  The public functions keep 1-based rows and
+or one `_unbump_row` per cell.  One step works on a single row tuple:
+`_bump_one_row` row inserts any word into it and returns the new row and
+the letters it bumps, the word the next row receives, so a word enters a
+tableau one row at a time.  The public functions keep 1-based rows and
 columns: an insertion reports the row (or column) of the cell it adds, and
 a deletion takes a row (or column) index.  Only the `*_trace` insertions
 record the bumping chain.
@@ -72,6 +75,26 @@ def _bump_row(rows: list[list[int]], x: int, col_next: tuple[int, ...], trace=No
         if trace is not None:
             trace.append((i, j, row[j]))
         i += 1
+
+
+def _bump_one_row(row: tuple[int, ...], xs: tuple[int, ...],
+                  col_next: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row insert the letters xs, in order, into the single row; returns the
+    new row and the letters it bumps, in the order it bumps them.
+
+    These are row i's part of one `_bump_row` per letter: row i meets the
+    letters in the order they arrive, and what it bumps, in that order, is
+    what row i + 1 meets.  So a word enters a tableau one row at a time."""
+    out = list(row)
+    bumped: list[int] = []
+    for x in xs:
+        j = bisect_left(out, col_next[x])
+        if j == len(out):
+            out.append(x)
+        else:
+            bumped.append(out[j])
+            out[j] = x
+    return tuple(out), tuple(bumped)
 
 
 def _unbump_row(rows: list[list[int]], r: int, row_next: tuple[int, ...]) -> int:

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
-from .bumping import _bump_row
+from .bumping import _bump_one_row
 from .errors import AlphabetMismatchError, _bound_error, _require_int, _require_mode, _require_setting
 from .shape import Partition, as_partition, conjugate_partition
 from .tableau import Tableau, _fillings
@@ -92,8 +92,13 @@ class FormalSum:
 
 def s_lambda(lam: Iterable[int], alphabet: SignedAlphabet) -> FormalSum:
     """Sum of all tableaux of the given shape, each with coefficient 1."""
-    lam = as_partition(lam)
-    return FormalSum._of_rows(alphabet, ((rows, 1) for rows in _fillings(lam, alphabet)))
+    return _schur(as_partition(lam), alphabet, {})
+
+
+def _schur(lam: Partition, alphabet: SignedAlphabet, memo: dict) -> FormalSum:
+    """s_lambda of a checked shape, its rows listed through the memo of
+    `_fillings`, which other shapes over the alphabet may share."""
+    return FormalSum._of_rows(alphabet, ((rows, 1) for rows in _fillings(lam, alphabet, memo)))
 
 
 def s_row(p: int, alphabet: SignedAlphabet) -> FormalSum:
@@ -112,20 +117,37 @@ def s_col(p: int, alphabet: SignedAlphabet) -> FormalSum:
 def ring_product(f: FormalSum, g: FormalSum) -> FormalSum:
     """Bilinear product: on tableaux, the tableau of the concatenated
     reading words, which is the left tableau with the right one's reading
-    word row inserted."""
+    word row inserted.
+
+    The word enters the left rows one row at a time: each row takes the
+    letters that reach it and passes the letters it bumps, in order, to
+    the row below, and a row that bumps nothing leaves the rows below it
+    as they were.  The terms share most of these steps, so a memo local to
+    the call keeps each step by its row and its arriving letters."""
     if f.alphabet != g.alphabet:
         raise AlphabetMismatchError("sums live over different alphabets")
     col_next = f.alphabet.col_next
     # each right term's reading word: its rows from the bottom row up
     words = [(tuple([x for row in reversed(rows) for x in row]), d) for rows, d in g._terms.items()]
+    steps: dict = {}  # (row, arriving letters) -> (new row, bumped letters)
+    # past a term's last row the letters open new rows, each taking one or more
+    new_rows = ((),) * max([len(word) for word, _ in words], default=0)
 
     def products() -> Iterable[tuple[_Rows, int]]:
         for base, c in f._terms.items():
+            padded = base + new_rows
             for word, d in words:
-                rows = [list(r) for r in base]
-                for x in word:
-                    _bump_row(rows, x, col_next)
-                yield tuple([tuple(r) for r in rows]), c * d
+                rows = []
+                for row in padded:
+                    key = (row, word)
+                    step = steps.get(key)
+                    if step is None:
+                        step = steps[key] = _bump_one_row(row, word, col_next)
+                    row, word = step
+                    rows.append(row)
+                    if not word:
+                        break
+                yield (*rows, *base[len(rows):]), c * d
 
     return FormalSum._of_rows(f.alphabet, products())
 
@@ -192,9 +214,10 @@ def pieri_check(
     if n > max_cells:
         raise _bound_error("total size {observed} exceeds the Pieri bound {limit}",
                            n, max_cells, "max_cells")
+    memo: dict = {}  # the rows under each row, shared by every shape below
     one = s_row(p, alphabet) if mode == "row" else s_col(p, alphabet)
-    left = ring_product(s_lambda(lam, alphabet), one)
-    filled = [(mu, list(_fillings(mu, alphabet))) for mu in _strips(lam, p, mode)]
+    left = ring_product(_schur(lam, alphabet, memo), one)
+    filled = [(mu, list(_fillings(mu, alphabet, memo))) for mu in _strips(lam, p, mode)]
     right = FormalSum._of_rows(alphabet, ((rows, 1) for _, fillings in filled for rows in fillings))
     right_counts = {mu: len(fillings) for mu, fillings in filled if fillings}
     equal = left == right

@@ -22,6 +22,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import tee
 
 from .alphabet import SignedAlphabet, conjugate_alphabet
 from .errors import (
@@ -277,49 +278,88 @@ def split_by_threshold(tableau: Tableau, k: int) -> tuple[Tableau, SkewTableau]:
     return t0, t1
 
 
-def _fillings(lam: Partition, alphabet: SignedAlphabet) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The super semistandard fillings of a partition, as tuples of index
-    rows.
-
-    Cells are filled in row-major order trying letters in alphabet order, so
-    the output order is deterministic.
-    """
+def _rows_under(above: tuple[int, ...] | None, length: int,
+                alphabet: SignedAlphabet) -> Iterator[tuple[int, ...]]:
+    """The rows of the given length that may sit under the row `above`
+    (its first `length` letters), or anywhere when above is None, in
+    lexicographic order: each cell takes every letter, in alphabet order,
+    allowed right of its left neighbor and below the cell above it."""
     row_next = alphabet.row_next
-    col_next = alphabet.col_next
     n = len(alphabet)
-    rows = [[-1] * L for L in lam]
-    cell_list = [(i, j) for i, L in enumerate(lam) for j in range(L)]
-    size = len(cell_list)
-    pos = x = 0  # the cell to fill next and the smallest letter it may take
+    lows = [0] * length if above is None else [alphabet.col_next[a] for a in above[:length]]
+    row = [-1] * length
+    last = length - 1
+    pos, x = 0, lows[0]
     while True:
-        if pos == size:
-            yield tuple([tuple(r) for r in rows])
-            x = n
-        # With no letter left, step back a cell and try its next letter.
-        while x == n:
-            if pos == 0:
-                return
-            pos -= 1
-            i, j = cell_list[pos]
-            x = rows[i][j] + 1
-        i, j = cell_list[pos]
-        rows[i][j] = x
-        pos += 1
-        if pos < size:
-            i, j = cell_list[pos]
-            x = row_next[rows[i][j - 1]] if j > 0 else 0
-            if i > 0:
-                x = max(x, col_next[rows[i - 1][j]])
+        if x < n:
+            row[pos] = x
+            if pos < last:
+                pos += 1
+                x = max(lows[pos], row_next[x])
+                continue
+            yield tuple(row)
+        elif pos == 0:
+            return
+        else:
+            pos -= 1  # no letter left for this cell: try the next one before it
+        x = row[pos] + 1
+
+
+def _fillings(lam: Partition, alphabet: SignedAlphabet,
+              memo: dict) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The super semistandard fillings of a partition, as tuples of index
+    rows, in row-major lexicographic order.
+
+    Rows are filled top to bottom, each from the rows that may sit under
+    the row above it.  Those depend only on the row's length and on that
+    many letters of the row above, so the memo lists them once, by that
+    prefix (by the length alone for the top row).  A memo holds rows over
+    one alphabet, and every shape over it may share it.
+
+    Each memo entry is a `tee` iterator that is never advanced: its copies
+    read the rows from the start, and the rows are made only as far as
+    some copy has read.  So the fillings stay lazy, and the first comes
+    after one row per level however many rows each level has.
+    """
+    if not lam:
+        yield ()
+        return
+
+    def under(i: int, above: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+        length = lam[i]
+        key = length if above is None else above[:length]
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = tee(_rows_under(above, length, alphabet), 1)[0]
+        return rows.__copy__()
+
+    depth = len(lam)
+    stack = [((), under(0, None))]  # rows so far, and the rows still to try for the next one
+    while stack:
+        head, rows = stack[-1]
+        for row in rows:
+            filled = (*head, row)
+            i = len(filled)
+            if i + 1 < depth:
+                stack.append((filled, under(i, row)))
+                break
+            if i < depth:  # the last row: each row that fits under this one
+                for low in under(i, row):
+                    yield (*filled, low)
+            else:  # a shape of one row
+                yield filled
+        else:
+            stack.pop()
 
 
 def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator[Tableau]:
     """All super semistandard tableaux of the given shape, each exactly once,
-    in a deterministic order.
+    in row-major lexicographic order, made as they are asked for.
 
     The shape is checked at call time, before the first tableau is asked for.
     """
     lam = as_partition(lam)
-    return (Tableau(alphabet, rows) for rows in _fillings(lam, alphabet))
+    return (Tableau(alphabet, rows) for rows in _fillings(lam, alphabet, {}))
 
 
 def enumerate_standard(lam: Iterable[int]) -> int:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from superplactic import (
     BoundExceededError,
     FormalSum,
     SkewDiagram,
+    Tableau,
     contains,
     enumerate_tableaux,
     is_horizontal_strip,
@@ -26,7 +28,7 @@ from superplactic import (
 )
 from superplactic.ring import _strips
 
-from oracles import all_signatures, hook_length_count, lr_coefficients, super_tableau_count
+from oracles import all_signatures, hook_length_count, insertion_tableau, lr_coefficients, super_tableau_count
 
 
 def lr_differences(letters, max_size, max_total):
@@ -189,6 +191,55 @@ class TestIndexRows:
                                 for t, _ in prod.terms():
                                     assert validate(t.symbol_rows(), alphabet) == t
 
+    def test_random_sums_match_the_insertion_oracle(self):
+        """Seeded random sums over 1 to 5 letters whose right terms have 2
+        or 3 rows, so their reading words are not row words: the product
+        is each pair's insertion tableau of the concatenated reading words,
+        by the oracle's scan insertion.  The cases include right words that
+        repeat a parity-1 letter and products that open one new row or more."""
+        rng = random.Random(20)
+
+        def reading(rows):
+            return tuple(x for row in reversed(rows) for x in row)
+
+        def random_rows(k, parities, lengths, heights):
+            while True:
+                word = [rng.randrange(k) for _ in range(rng.choice(lengths))]
+                rows = insertion_tableau(word, parities)
+                if len(rows) in heights:
+                    return rows
+
+        seen = {"repeated odd letter": 0, "one new row": 0, "two or more new rows": 0}
+        for _ in range(600):
+            k = rng.randint(1, 5)
+            parities = [rng.randint(0, 1) for _ in range(k)]
+            if k == 1:
+                parities = [1]  # one parity-0 letter has no tableau of 2 rows
+            alphabet = make_alphabet([str(i) for i in range(1, k + 1)], parities)
+
+            def random_sum(rows_of):
+                return {rows_of(): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 3))}
+
+            left = random_sum(lambda: random_rows(k, parities, range(6), range(6)))
+            right = random_sum(lambda: random_rows(k, parities, range(2, 6), (2, 3)))
+            want = {}
+            for t, c in left.items():
+                for u, d in right.items():
+                    word = reading(u)
+                    odd = [x for x in word if parities[x] == 1]
+                    seen["repeated odd letter"] += len(set(odd)) < len(odd)
+                    rows = insertion_tableau(reading(t) + word, parities)
+                    seen["one new row"] += len(rows) == len(t) + 1
+                    seen["two or more new rows"] += len(rows) > len(t) + 1
+                    want[rows] = want.get(rows, 0) + c * d
+
+            def as_sum(terms):
+                return FormalSum(alphabet, [(Tableau(alphabet, rows), c) for rows, c in terms.items()])
+
+            got = ring_product(as_sum(left), as_sum(right))
+            assert got == as_sum({rows: c for rows, c in want.items() if c}), (parities, left, right)
+        assert all(seen.values()), seen
+
     def test_product_cancels_equal_terms(self, evens3):
         """y . xz and yz . x are Knuth equivalent words (x < y <= z), so
         with opposite signs their terms cancel in the product."""
@@ -291,13 +342,10 @@ class TestPieri:
         makes the sides differ.  The report then counts the left terms by
         shape, and the right side still holds one count per strip."""
 
-        def append_to_first_row(rows, x, col_next):
-            if not rows:
-                rows.append([])
-            rows[0].append(x)
-            return 0
+        def append_to_the_row(row, xs, col_next):
+            return row + xs, ()
 
-        monkeypatch.setattr(superplactic.ring, "_bump_row", append_to_first_row)
+        monkeypatch.setattr(superplactic.ring, "_bump_one_row", append_to_the_row)
         for sig in ((0, 1, 0), (1, 0, 1), (0, 0, 1)):
             alphabet = make_alphabet(["1", "2", "3"], list(sig))
             for lam, p, mode in (((2, 1), 2, "row"), ((2, 1), 2, "col"), ((1,), 1, "col"), ((3, 1), 3, "row")):
@@ -352,12 +400,9 @@ class TestLittlewoodRichardson:
         """The check above sees a wrong insertion, which appends every letter
         to the first row."""
 
-        def append_to_first_row(rows, x, col_next):
-            if not rows:
-                rows.append([])
-            rows[0].append(x)
-            return 0
+        def append_to_the_row(row, xs, col_next):
+            return row + xs, ()
 
-        monkeypatch.setattr(superplactic.ring, "_bump_row", append_to_first_row)
+        monkeypatch.setattr(superplactic.ring, "_bump_one_row", append_to_the_row)
         _, differ = lr_differences(2, 2, 4)
         assert ((0, 0), (1,), (1,)) in differ

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,8 @@ from superplactic import (
     validate,
     word_of,
 )
+
+from superplactic.tableau import _fillings
 
 from oracles import all_signatures, hook_length_count, super_tableau_count
 
@@ -302,6 +305,40 @@ class TestEnumerate:
         # not on where they sit in the order
         assert all(len(counts) == 1 for counts in by_sizes.values())
         assert len(by_sizes) == 45 * (4 + 5)
+
+    def test_sorted_counted_and_shared_on_small_shapes(self):
+        """Every signature of at most 4 letters and every shape of at most 6
+        cells: the tableaux come in strictly increasing row-major order,
+        as many as the strip oracle counts, and a row memo shared by all
+        the shapes over an alphabet lists each shape's fillings as a fresh
+        memo does, when first filled and when read again."""
+        for size in range(1, 5):
+            for sig in all_signatures(size):
+                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                shared = {}
+                for cells in range(7):
+                    for lam in partitions(cells):
+                        rows = [t.rows for t in enumerate_tableaux(lam, alphabet)]
+                        assert all(a < b for a, b in zip(rows, rows[1:])), (sig, lam)
+                        assert len(rows) == super_tableau_count(lam, sig), (sig, lam)
+                        first, again = (list(_fillings(lam, alphabet, shared)) for _ in range(2))
+                        assert first == again == rows, (sig, lam)
+
+    def test_first_tableau_waits_for_one_row_per_level(self):
+        """Rows are listed only as far as they are read: the first tableau
+        of a large shape over nine letters, or of one long row, comes at
+        once, and so does the end of a shape outside the hook."""
+        for parities in ([0] * 9, [1] * 9, [0, 1] * 4 + [0], [1] * 4 + [0] * 5):
+            alphabet = make_alphabet([str(i) for i in range(1, 10)], parities)
+            m = parities.count(0)
+            for lam in ((5, 5, 5), (40,), (30, 30)):
+                start = time.perf_counter()
+                first = next(enumerate_tableaux(lam, alphabet), None)
+                assert time.perf_counter() - start < 0.5, (parities, lam)
+                inside = (lam[m] if m < len(lam) else 0) <= 9 - m
+                assert (first is not None) == inside, (parities, lam)
+                if first is not None:
+                    assert first.shape == lam and check_tableau(first) is first
 
     def test_long_row_stays_off_the_recursion_limit(self):
         e = make_alphabet(["1"], [0])
