@@ -139,14 +139,14 @@ def ring_product(f: FormalSum, g: FormalSum) -> FormalSum:
             for word, d in words:
                 rows = []
                 for row in padded:
+                    if not word:
+                        break
                     key = (row, word)
                     step = steps.get(key)
                     if step is None:
                         step = steps[key] = _bump_one_row(row, word, col_next)
                     row, word = step
                     rows.append(row)
-                    if not word:
-                        break
                 yield (*rows, *base[len(rows):]), c * d
 
     return FormalSum._of_rows(f.alphabet, products())

@@ -22,7 +22,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import tee
 
 from .alphabet import SignedAlphabet, conjugate_alphabet
 from .errors import (
@@ -306,42 +305,43 @@ def _rows_under(above: tuple[int, ...] | None, length: int,
 
 
 def _fillings(lam: Partition, alphabet: SignedAlphabet,
-              memo: dict) -> Iterator[tuple[tuple[int, ...], ...]]:
+              memo: dict | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The super semistandard fillings of a partition, as tuples of index
     rows, in row-major lexicographic order.
 
     Rows are filled top to bottom, each from the rows that may sit under
     the row above it.  Those depend only on the row's length and on that
-    many letters of the row above, so the memo lists them once, by that
+    many letters of the row above, so a memo lists them once, by that
     prefix (by the length alone for the top row).  A memo holds rows over
     one alphabet, and every shape over it may share it.
 
-    Each memo entry is a `tee` iterator that is never advanced: its copies
-    read the rows from the start, and the rows are made only as far as
-    some copy has read.  So the fillings stay lazy, and the first comes
-    after one row per level however many rows each level has.
+    With no memo the rows are made as they are read and none is kept, so
+    the fillings come lazily, the first after one row per level, and the
+    generator holds one partial filling.
     """
     if not lam:
         yield ()
         return
 
-    def under(i: int, above: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+    def under(i: int, above: tuple[int, ...] | None) -> Iterable[tuple[int, ...]]:
         length = lam[i]
+        if memo is None:
+            return _rows_under(above, length, alphabet)
         key = length if above is None else above[:length]
         rows = memo.get(key)
         if rows is None:
-            rows = memo[key] = tee(_rows_under(above, length, alphabet), 1)[0]
-        return rows.__copy__()
+            rows = memo[key] = list(_rows_under(above, length, alphabet))
+        return rows
 
     depth = len(lam)
-    stack = [((), under(0, None))]  # rows so far, and the rows still to try for the next one
+    stack = [((), iter(under(0, None)))]  # rows so far, and the rows still to try for the next one
     while stack:
         head, rows = stack[-1]
         for row in rows:
             filled = (*head, row)
             i = len(filled)
             if i + 1 < depth:
-                stack.append((filled, under(i, row)))
+                stack.append((filled, iter(under(i, row))))
                 break
             if i < depth:  # the last row: each row that fits under this one
                 for low in under(i, row):
@@ -359,7 +359,7 @@ def enumerate_tableaux(lam: Iterable[int], alphabet: SignedAlphabet) -> Iterator
     The shape is checked at call time, before the first tableau is asked for.
     """
     lam = as_partition(lam)
-    return (Tableau(alphabet, rows) for rows in _fillings(lam, alphabet, {}))
+    return (Tableau(alphabet, rows) for rows in _fillings(lam, alphabet))
 
 
 def enumerate_standard(lam: Iterable[int]) -> int:

@@ -131,6 +131,11 @@ class TestProduct:
         f = s_lambda((2, 1), mixed3)
         assert ring_product(one, f) == f
         assert ring_product(f, one) == f
+        # the empty word leaves each left term as it is, the empty one too,
+        # beside right words that open rows under it
+        letters = s_row(1, mixed3)
+        x = one + letters
+        assert ring_product(x, x) == one + letters + letters + s_row(2, mixed3) + s_col(2, mixed3)
 
     def test_single_letters(self, evens3):
         prod = ring_product(s_row(1, evens3), s_row(1, evens3))
@@ -193,10 +198,12 @@ class TestIndexRows:
 
     def test_random_sums_match_the_insertion_oracle(self):
         """Seeded random sums over 1 to 5 letters whose right terms have 2
-        or 3 rows, so their reading words are not row words: the product
-        is each pair's insertion tableau of the concatenated reading words,
-        by the oracle's scan insertion.  The cases include right words that
-        repeat a parity-1 letter and products that open one new row or more."""
+        or 3 rows, so their reading words are not row words, and now and
+        then the empty term: the product is each pair's insertion tableau
+        of the concatenated reading words, by the oracle's scan insertion.
+        The cases include right words that repeat a parity-1 letter,
+        products that open one new row or more, and the empty term on both
+        sides beside longer right terms."""
         rng = random.Random(20)
 
         def reading(rows):
@@ -209,7 +216,7 @@ class TestIndexRows:
                 if len(rows) in heights:
                     return rows
 
-        seen = {"repeated odd letter": 0, "one new row": 0, "two or more new rows": 0}
+        seen = {"repeated odd letter": 0, "one new row": 0, "two or more new rows": 0, "empty times empty": 0}
         for _ in range(600):
             k = rng.randint(1, 5)
             parities = [rng.randint(0, 1) for _ in range(k)]
@@ -222,6 +229,8 @@ class TestIndexRows:
 
             left = random_sum(lambda: random_rows(k, parities, range(6), range(6)))
             right = random_sum(lambda: random_rows(k, parities, range(2, 6), (2, 3)))
+            if rng.random() < 0.25:
+                right[()] = rng.choice((-2, -1, 1, 2))
             want = {}
             for t, c in left.items():
                 for u, d in right.items():
@@ -231,6 +240,7 @@ class TestIndexRows:
                     rows = insertion_tableau(reading(t) + word, parities)
                     seen["one new row"] += len(rows) == len(t) + 1
                     seen["two or more new rows"] += len(rows) > len(t) + 1
+                    seen["empty times empty"] += t == u == ()
                     want[rows] = want.get(rows, 0) + c * d
 
             def as_sum(terms):

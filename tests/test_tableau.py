@@ -1,6 +1,6 @@
 import itertools
 import math
-import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -30,6 +30,7 @@ from superplactic import (
     word_of,
 )
 
+import superplactic.tableau
 from superplactic.tableau import _fillings
 
 from oracles import all_signatures, hook_length_count, super_tableau_count
@@ -291,54 +292,68 @@ class TestEnumerate:
             enumerate_tableaux((1, 2), mixed4)
 
     def test_counts_match_the_strip_oracle(self):
-        # every shape of at most 7 cells over every 3- and 4-letter signature
-        by_sizes = {}
-        for size in (3, 4):
-            for sig in all_signatures(size):
-                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
-                for cells in range(8):
-                    for lam in partitions(cells):
-                        count = sum(1 for _ in enumerate_tableaux(lam, alphabet))
-                        assert count == super_tableau_count(lam, sig), (sig, lam)
-                        by_sizes.setdefault((lam, sig.count(0), sig.count(1)), set()).add(count)
-        # the count depends on the numbers of even and odd letters only,
-        # not on where they sit in the order
-        assert all(len(counts) == 1 for counts in by_sizes.values())
-        assert len(by_sizes) == 45 * (4 + 5)
-
-    def test_sorted_counted_and_shared_on_small_shapes(self):
-        """Every signature of at most 4 letters and every shape of at most 6
-        cells: the tableaux come in strictly increasing row-major order,
+        """Every shape of at most 7 cells over every signature of 1 to 4
+        letters: the tableaux come in strictly increasing row-major order,
         as many as the strip oracle counts, and a row memo shared by all
-        the shapes over an alphabet lists each shape's fillings as a fresh
-        memo does, when first filled and when read again."""
+        the shapes over an alphabet lists each shape's fillings as the
+        enumerator does, when first filled and when read again."""
+        by_sizes = {}
         for size in range(1, 5):
             for sig in all_signatures(size):
                 alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
                 shared = {}
-                for cells in range(7):
+                for cells in range(8):
                     for lam in partitions(cells):
                         rows = [t.rows for t in enumerate_tableaux(lam, alphabet)]
                         assert all(a < b for a, b in zip(rows, rows[1:])), (sig, lam)
                         assert len(rows) == super_tableau_count(lam, sig), (sig, lam)
                         first, again = (list(_fillings(lam, alphabet, shared)) for _ in range(2))
                         assert first == again == rows, (sig, lam)
+                        by_sizes.setdefault((lam, sig.count(0), sig.count(1)), set()).add(len(rows))
+        # the count depends on the numbers of even and odd letters only,
+        # not on where they sit in the order
+        assert all(len(counts) == 1 for counts in by_sizes.values())
+        assert len(by_sizes) == 45 * (2 + 3 + 4 + 5)
 
-    def test_first_tableau_waits_for_one_row_per_level(self):
-        """Rows are listed only as far as they are read: the first tableau
-        of a large shape over nine letters, or of one long row, comes at
-        once, and so does the end of a shape outside the hook."""
+    def test_first_tableau_makes_one_row_per_level(self, monkeypatch):
+        """Rows are made only as they are read: the first tableau of a large
+        shape over nine letters, or of one long row, comes after at most one
+        row per level of the shape, and a shape outside the hook ends before
+        any."""
+        made = []
+
+        def counted_rows_under(above, length, alphabet):
+            for row in rows_under(above, length, alphabet):
+                made.append(row)
+                yield row
+
+        rows_under = superplactic.tableau._rows_under
+        monkeypatch.setattr(superplactic.tableau, "_rows_under", counted_rows_under)
         for parities in ([0] * 9, [1] * 9, [0, 1] * 4 + [0], [1] * 4 + [0] * 5):
             alphabet = make_alphabet([str(i) for i in range(1, 10)], parities)
             m = parities.count(0)
             for lam in ((5, 5, 5), (40,), (30, 30)):
-                start = time.perf_counter()
+                made.clear()
                 first = next(enumerate_tableaux(lam, alphabet), None)
-                assert time.perf_counter() - start < 0.5, (parities, lam)
                 inside = (lam[m] if m < len(lam) else 0) <= 9 - m
                 assert (first is not None) == inside, (parities, lam)
+                assert len(made) <= (len(lam) if inside else 0), (parities, lam, len(made))
                 if first is not None:
                     assert first.shape == lam and check_tableau(first) is first
+
+    def test_streaming_keeps_no_rows(self):
+        """A full enumeration holds one partial filling, not the rows it has
+        made: streaming the 24,310 one-row tableaux of (9,) over nine parity-0
+        letters peaks far below what keeping them would take."""
+        alphabet = make_alphabet([str(i) for i in range(1, 10)], [0] * 9)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_tableaux((9,), alphabet))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == math.comb(17, 9)
+        assert peak < 64 * 1024, peak  # keeping the rows alone takes over 2 MB
 
     def test_long_row_stays_off_the_recursion_limit(self):
         e = make_alphabet(["1"], [0])
