@@ -33,9 +33,11 @@ first walk over the arrays, so each array costs one insertion and the
 check of one cell of U on the forward side.  The walk's new column has
 the largest bottom letter so far, so on the involuted side, where columns
 are taken top letter first, it comes last among the columns with its top
-letter a: the probe keeps the involuted rows after each top letter's
+letter a: the probe keeps the involuted state after each top letter's
 columns, and replays only the new column and the columns whose top letter
-is larger than a.
+is larger than a.  Insertion tableaux recur across the arrays, so the
+probe interns them for one call and bumps each (tableau, letter, parity)
+once.
 """
 
 from __future__ import annotations
@@ -158,19 +160,8 @@ def _forward_rows(
     bottom_alphabet: SignedAlphabet,
 ) -> None:
     """Extend the index rows of (T, U) by the columns `pairs`, in order,
-    checking each top letter before it is bumped and each cell of U as it
-    is placed.
-
-    U grows only by one cell at the end of a row, and a placed cell never
-    changes.  So every letter of U, and every pair of neighbouring cells,
-    is checked exactly once, when the later cell is placed: its letter
-    against the bottom alphabet, and the cell against its left neighbour
-    (the row condition) and its upper neighbour (the column condition,
-    and that the row above reaches over it).  That is the check of
-    `check_tableau` on the final U, with the shape checked after every
-    cell rather than once; rows that were checked before the call, such
-    as a prefix's rows in the probe, are not checked again.
-    """
+    checking each column's letters before its top letter is bumped and
+    each cell of U, with `_check_cell`, as it is placed."""
     ppar = bottom_alphabet.parities
     n = len(ppar)
     prow = bottom_alphabet.row_next
@@ -179,27 +170,47 @@ def _forward_rows(
     col_next = top_alphabet.col_next
     m = len(row_next)
     for a, b in pairs:
-        # inline rather than errors._require_indices: this runs once per column of the probe
+        # inline rather than errors._require_indices: this runs once per column
         if not (isinstance(a, int) and 0 <= a < m):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
         if not (isinstance(b, int) and 0 <= b < n):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
-        r = _bump_row(trows, a, col_next) if ppar[b] == 0 else _bump_col(trows, a, row_next)
+        r = _bump_col(trows, a, row_next) if ppar[b] else _bump_row(trows, a, col_next)
         if r == len(urows):
-            j = 0
             urows.append([b])
         else:
-            row = urows[r]
-            j = len(row)
-            if b < prow[row[-1]]:
-                raise _cell_error("row", r + 1, j + 1)
-            row.append(b)
-        if r:
-            above = urows[r - 1]
-            if j >= len(above):
-                raise _longer_row_error(urows)
-            if b < pcol[above[j]]:
-                raise _cell_error("column", r + 1, j + 1)
+            urows[r].append(b)
+        _check_cell(urows, r, prow, pcol)
+
+
+def _check_cell(
+    urows: Sequence[Sequence[int]],
+    r: int,
+    prow: tuple[int, ...],
+    pcol: tuple[int, ...],
+) -> None:
+    """Check the cell just placed at the end of U's 0-based row r.
+
+    U grows only by one cell at the end of a row, and a placed cell never
+    changes.  So every pair of neighbouring cells of U is checked exactly
+    once, when the later cell is placed: the cell against its left
+    neighbour (the row condition) and its upper neighbour (the column
+    condition, and that the row above reaches over it), through U's order
+    tables `prow` and `pcol`.  With each letter checked against U's
+    alphabet before it is placed, that is the check of `check_tableau` on
+    the final U, with the shape checked after every cell rather than once.
+    """
+    row = urows[r]
+    j = len(row) - 1
+    b = row[j]
+    if j and b < prow[row[j - 1]]:
+        raise _cell_error("row", r + 1, j + 1)
+    if r:
+        above = urows[r - 1]
+        if j >= len(above):
+            raise _longer_row_error(urows)
+        if b < pcol[above[j]]:
+            raise _cell_error("column", r + 1, j + 1)
 
 
 # A run of fewer columns is bumped one column at a time.  For short runs
@@ -279,7 +290,7 @@ def _forward_strips(
     _forward_rows(trows, urows, pairs[done:], top_alphabet, bottom_alphabet)
 
 
-def _longer_row_error(urows: list[list[int]]) -> ShapeError:
+def _longer_row_error(urows: Sequence[Sequence[int]]) -> ShapeError:
     return ShapeError("row lengths must weakly decrease, got %s" % _excerpt([len(u) for u in urows]))
 
 
@@ -394,21 +405,16 @@ def array_involution(array: TwoRowedArray) -> TwoRowedArray:
     return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, _swapped(array.pairs))
 
 
-# The index rows (T, U) of a tableau pair.
-_RowPair = tuple[list[list[int]], list[list[int]]]
-
-
 def _involuted_rows(
-    state: _RowPair,
-    swapped: Iterable[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
     top_alphabet: SignedAlphabet,
     bottom_alphabet: SignedAlphabet,
-) -> _RowPair:
-    """A copy of the involuted rows `state` of an array over (top, bottom),
-    extended by the involuted columns `swapped`; `state` is left as it is."""
-    t2 = [row[:] for row in state[0]]
-    u2 = [row[:] for row in state[1]]
-    _forward_rows(t2, u2, swapped, bottom_alphabet, top_alphabet)
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The index rows (T, U) of the involution of the array with columns
+    `pairs` over (top, bottom)."""
+    t2: list[list[int]] = []
+    u2: list[list[int]] = []
+    _forward_rows(t2, u2, _swapped(pairs), bottom_alphabet, top_alphabet)
     return t2, u2
 
 
@@ -419,7 +425,7 @@ def has_symmetry(array: TwoRowedArray) -> bool:
     trows: list[list[int]] = []
     urows: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, L, P)
-    return _involuted_rows(([], []), _swapped(array.pairs), L, P) == (urows, trows)
+    return _involuted_rows(array.pairs, L, P) == (urows, trows)
 
 
 def _parity_first(alphabet: SignedAlphabet, p: int) -> bool:
@@ -572,6 +578,44 @@ class ProbeReport:
         }
 
 
+class _Steps:
+    """One side's steps in a probe call: insertion into interned tableaux.
+
+    `rows[t]` holds the index rows of tableau t as a tuple of row tuples,
+    `ids` maps them back to t, and the empty tableau is 0.  Inserting this
+    side's letter x into tableau t, by row insertion (parity 0) or column
+    insertion (parity 1), gives `succ[t][2 * x + parity]`: the pair
+    (t', r) of the new tableau and the 0-based row of the cell it gained,
+    or None until that slot is first asked for.
+    """
+
+    __slots__ = ("row_next", "col_next", "width", "rows", "ids", "succ")
+
+    def __init__(self, alphabet: SignedAlphabet):
+        self.row_next = alphabet.row_next
+        self.col_next = alphabet.col_next
+        self.width = 2 * len(alphabet)
+        self.rows: list[tuple[tuple[int, ...], ...]] = [()]
+        self.ids = {(): 0}
+        self.succ: list[list[tuple[int, int] | None]] = [[None] * self.width]
+
+    def step(self, t: int, slot: int) -> tuple[int, int]:
+        """Fill slot `slot` of tableau t: one bump on a copy of its rows."""
+        known = self.rows
+        rows = list(map(list, known[t]))
+        if slot & 1:
+            r = _bump_col(rows, slot >> 1, self.row_next)
+        else:
+            r = _bump_row(rows, slot >> 1, self.col_next)
+        key = tuple(map(tuple, rows))
+        grown = self.ids.setdefault(key, len(known))
+        if grown == len(known):
+            known.append(key)
+            self.succ.append([None] * self.width)
+        nxt = self.succ[t][slot] = (grown, r)
+        return nxt
+
+
 def symmetry_probe(
     top_alphabet: SignedAlphabet,
     bottom_alphabet: SignedAlphabet,
@@ -584,18 +628,28 @@ def symmetry_probe(
     satisfied, symmetric).  `sink`, if given, receives one dict per array,
     which the command line driver streams out as JSON lines.
 
-    Both sides are carried down the walk.  An array's new column (a, b) has
-    the largest bottom letter so far, so in the involuted order, top letter
-    first, it follows every column with top letter at most a and precedes
-    the rest.  Each prefix on the stack keeps, for every top letter x, the
-    involuted rows after all its columns with top letter at most x (its
-    checkpoints), and its involuted columns in blocks by top letter.  The
-    array's involuted rows are then the parent's checkpoint at a, copied,
-    extended by the new column and the parent's blocks above a.  A prefix
-    that can still grow shares the parent's checkpoints below a and keeps
-    a copy at a and at the end of each nonempty block above it; an array
-    of max_cols columns keeps none.  Every cell is checked when it is placed, and a checkpoint's
-    cells were checked when it was built.
+    Both sides are carried down the walk, and a step memo that lives for
+    this call does their bumping.  Every insertion tableau, T on the
+    forward side and T2 on the involuted side, is interned as an int id
+    (one `_Steps` per side), and inserting a letter of a given parity into
+    an interned tableau is bumped once, when first met, and then read from
+    that side's successor table.  The recording tableaux U and U2 are
+    tuples of row tuples: each step places one cell, checked by
+    `_check_cell`, and shares the other rows.  A new column's letters are
+    checked before any table is read.  The memo holds each distinct
+    tableau once per side, with its successors, and is dropped on return.
+
+    An array's new column (a, b) has the largest bottom letter so far, so
+    in the involuted order, top letter first, it follows every column with
+    top letter at most a and precedes the rest.  Each prefix on the stack
+    keeps, for every top letter x, the involuted state (T2 id, U2) after
+    all its columns with top letter at most x (its checkpoints), and the
+    involuted step slots of its columns in blocks by top letter.  The
+    array's involuted state is then the parent's checkpoint at a, stepped
+    by the new column and by the parent's blocks above a.  A prefix that
+    can still grow shares the parent's checkpoints below a; an array of
+    max_cols columns keeps none.  The array is symmetric when T2's rows
+    are U and U2 is T's rows.
     """
     _require_int("examples_per_cell", examples_per_cell)
     _require_setting("max_arrays", max_arrays)
@@ -603,56 +657,85 @@ def symmetry_probe(
     top_letters = top_alphabet.letters
     bottom_letters = bottom_alphabet.letters
     par = _pair_parities(top_alphabet, bottom_alphabet)
-    n = len(top_alphabet)
+    m = len(top_alphabet)
+    n = len(bottom_alphabet)
+    lpar = top_alphabet.parities
+    ppar = bottom_alphabet.parities
+    lrow, lcol = top_alphabet.row_next, top_alphabet.col_next
+    prow, pcol = bottom_alphabet.row_next, bottom_alphabet.col_next
+    fwd = _Steps(top_alphabet)
+    inv = _Steps(bottom_alphabet)
+    fsucc, frows, fstep = fwd.succ, fwd.rows, fwd.step
+    isucc, irows, istep = inv.succ, inv.rows, inv.step
     report = ProbeReport(max_cols=max_cols)
+    counts = report.counts
+    examples = report.examples
+    total = 0
     # stack[d] holds, for the first d columns of the array in hand, the
-    # forward rows (T, U), how many columns have pair parity 1, the
-    # involuted columns of each top letter, and the checkpoints.
-    stack: list[tuple[list[list[int]], list[list[int]], int,
-                      tuple[tuple[tuple[int, int], ...], ...], list[_RowPair]]] = []
+    # forward state (T id, U), how many columns have pair parity 1, the
+    # involuted slots of each top letter, and the checkpoints.
+    stack: list[tuple[int, tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...],
+                      list[tuple[int, tuple[tuple[int, ...], ...]]]]] = []
     for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols):
-        report.total += 1
-        if report.total > max_arrays:
-            raise _bound_error("probe exceeded {limit} arrays", report.total, max_arrays, "max_arrays")
-        # The walk kept the first len(cols) - 1 columns, so the rows of
-        # that prefix are on the stack: copy them and insert the last one.
-        del stack[len(cols):]
+        total += 1
+        if total > max_arrays:
+            raise _bound_error("probe exceeded {limit} arrays", total, max_arrays, "max_arrays")
+        # The walk kept the first len(cols) - 1 columns, so that prefix's
+        # states are on the stack: step them by the last column.
+        depth = len(cols)
+        del stack[depth:]
         if stack:
-            parent_t, parent_u, odd, blocks, cps = stack[-1]
-            trows = [row[:] for row in parent_t]
-            urows = [row[:] for row in parent_u]
+            t, u, odd, blocks, cps = stack[-1]
             a, b = cols[-1]
-            odd += par[b * n + a]
-            _forward_rows(trows, urows, cols[-1:], top_alphabet, bottom_alphabet)
-            above = blocks[a + 1:]
-            if len(cols) < max_cols:
-                blocks = blocks[:a] + (blocks[a] + ((b, a),),) + above
-                inv = _involuted_rows(cps[a], ((b, a),), top_alphabet, bottom_alphabet)
-                cps = cps[:a]
-                cps.append(inv)
-                for block in above:
-                    if block:
-                        inv = _involuted_rows(inv, block, top_alphabet, bottom_alphabet)
-                    cps.append(inv)
-                stack.append((trows, urows, odd, blocks, cps))
+            if not (isinstance(a, int) and 0 <= a < m):
+                raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
+            if not (isinstance(b, int) and 0 <= b < n):
+                raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
+            odd += par[b * m + a]
+            slot = 2 * a + ppar[b]
+            t, r = fsucc[t][slot] or fstep(t, slot)
+            u = [*u]
+            if r < len(u):
+                u[r] += (b,)
             else:
-                swapped = [(b, a)]
-                for block in above:
-                    swapped += block
-                inv = _involuted_rows(cps[a], swapped, top_alphabet, bottom_alphabet)
+                u.append((b,))
+            _check_cell(u, r, prow, pcol)
+            u = tuple(u)
+            slot = 2 * b + lpar[a]
+            t2, u2 = cps[a]
+            u2 = [*u2]
+            grows = depth < max_cols
+            if grows:
+                blocks = (*blocks[:a], (*blocks[a], slot), *blocks[a + 1:])
+                cps = cps[:a]
+            # the new column, then the columns of each larger top letter x
+            for x, block in enumerate(((slot,), *blocks[a + 1:]), a):
+                for slot in block:
+                    t2, r = isucc[t2][slot] or istep(t2, slot)
+                    if r < len(u2):
+                        u2[r] += (x,)
+                    else:
+                        u2.append((x,))
+                    _check_cell(u2, r, lrow, lcol)
+                if grows:
+                    cps.append((t2, tuple(u2)))
+            u2 = tuple(u2)
+            if grows:
+                stack.append((t, u, odd, blocks, cps))
         else:
-            trows, urows, odd, inv = [], [], 0, ([], [])
-            stack.append((trows, urows, odd, ((),) * n, [inv] * n))
+            t, u, odd, t2, u2 = 0, (), 0, 0, ()
+            stack.append((t, u, odd, ((),) * m, [(t2, u2)] * m))
         hyp = aligned and odd == 0
-        sym = inv == (urows, trows)
+        sym = irows[t2] == u and u2 == frows[t]
         key = (hyp, sym)
-        report.counts[key] += 1
-        if len(report.examples[key]) < examples_per_cell:
-            report.examples[key].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
+        counts[key] += 1
+        if len(examples[key]) < examples_per_cell:
+            examples[key].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
         if sink is not None:
             sink({"top": [top_letters[a] for a, _ in cols],
                   "bottom": [bottom_letters[b] for _, b in cols],
                   "hypothesis": hyp, "symmetric": sym})
+    report.total = total
     return report
 
 

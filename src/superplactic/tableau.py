@@ -318,9 +318,16 @@ def _fillings(lam: Partition, alphabet: SignedAlphabet,
     With no memo the rows are made as they are read and none is kept, so
     the fillings come lazily, the first after one row per level, and the
     generator holds one partial filling.
+
+    With m parity-0 and n parity-1 letters, a shape has a filling exactly
+    when lambda_{m+1} <= n (Berele and Regev), so a shape outside that hook
+    yields nothing, before any row is made.
     """
     if not lam:
         yield ()
+        return
+    m = alphabet.parities.count(0)
+    if m < len(lam) and lam[m] > len(alphabet) - m:
         return
 
     def under(i: int, above: tuple[int, ...] | None) -> Iterable[tuple[int, ...]]:

@@ -2,7 +2,7 @@
 
 Each check is seeded and compares the package with `oracles` only: the
 symmetry theorem on arrays of hundreds of columns, the symmetry probe on
-random pairs of 4-letter signatures, Knuth moves keeping the
+random pairs of 4- and 5-letter signatures, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
 oracle's insertion and back, the bumping lemmas on tableaux of up to 100
 cells, and Greene's theorem on words of up to 300 letters.
@@ -20,6 +20,7 @@ from superplactic import (
     col_insert,
     enumerate_arrays,
     greene_profile,
+    has_symmetry,
     make_alphabet,
     row_insert,
     rsk_forward,
@@ -96,6 +97,25 @@ def test_probe_on_random_four_letter_pairs():
             swapped = sorted(((b, a) for a, b in array.pairs), key=lambda ba: (ba[1], ba[0]))
             expected.append(super_rsk(swapped, bottom.parities, top.parities) == (u, t))
         assert [record["symmetric"] for record in records] == expected
+
+
+def test_probe_matches_has_symmetry_on_random_four_and_five_letter_pairs():
+    """On 20 seeded random pairs of 4- and 5-letter signatures, of equal
+    and of unequal sizes, up to 3 or 4 columns: the probe streams one
+    record per array of enumerate_arrays, in order, whose symmetry is
+    has_symmetry of that array, and its total is their number."""
+    rng = random.Random(2109)
+    sizes = [(4, 4), (4, 5), (5, 4), (5, 5)] * 5
+    rng.shuffle(sizes)
+    for k, l in sizes:
+        top, bottom = _alphabet(rng, k), _alphabet(rng, l)
+        max_cols = rng.choice((3, 4)) if k + l < 10 else 3
+        records = []
+        report = symmetry_probe(top, bottom, max_cols, sink=records.append)
+        arrays = list(enumerate_arrays(top, bottom, max_cols))
+        assert report.total == len(arrays) == len(records)
+        assert [(record["top"], record["bottom"], record["symmetric"]) for record in records] == [
+            (list(array.top_symbols), list(array.bottom_symbols), has_symmetry(array)) for array in arrays]
 
 
 def test_knuth_moves_keep_the_tableau_of_long_words():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -659,7 +660,9 @@ class TestProbe:
         """Counts the insertions of one census.  Replaying every column of
         every array, as has_symmetry does, would cost the involuted side
         alone one insertion per column of the census; with the checkpoints
-        both sides together stay below that."""
+        and the step memo, which bumps each (tableau, letter, parity) of a
+        side once, both sides together make fewer insertions than there are
+        arrays."""
         counted = [0]
         for name in ("_bump_row", "_bump_col"):
             def counting(*args, bump=getattr(superplactic.rsk, name)):
@@ -670,46 +673,71 @@ class TestProbe:
         report = symmetry_probe(alphabet, alphabet, 6)
         columns = sum(len(array) for array in enumerate_arrays(alphabet, alphabet, 6))
         assert (report.total, columns) == (2471, 12901)
-        assert counted[0] < columns
+        assert counted[0] < report.total
 
     @pytest.mark.parametrize("side", ["forward", "involuted"])
     def test_both_sides_validate_u(self, monkeypatch, side):
-        """Each side checks every cell it places in its U: a fault in the U
-        of one side stops the probe and has_symmetry, and the traceback
-        shows which side raised.  The probe's walk never makes a faulty
-        array, so the prefixes of one are patched in.  The forward fault is
-        the bottom letter -1, foreign to the bottom alphabet.  A foreign
-        top letter would stop the forward side first, so the involuted U
-        gets a fault in the conditions instead: repeating the parity-1
-        column (2, y) over an all-even bottom alphabet leaves a valid
-        forward U, but puts two parity-1 letters side by side in a row of
-        the involuted U.  The probe meets it in its last array, on a
-        checkpoint built from the prefix before it."""
+        """Each side checks every cell it places in its U with the shared
+        `_check_cell`: a fault in the U of one side stops the probe and
+        has_symmetry, and the order tables the check was given show which
+        side raised, as the forward U holds bottom letters and the
+        involuted U top letters.  The probe's walk never makes a faulty
+        array, so the prefixes of one are patched in.  The forward U gets
+        two copies of the parity-1 bottom letter x side by side in a row:
+        the column (1, x) and then (0, x), out of order.  The involuted U
+        gets a fault while the forward U stays valid: repeating the
+        parity-1 column (2, y) over an all-even bottom alphabet puts two
+        parity-1 letters side by side in a row of the involuted U.  The
+        probe meets it in its last array, on a checkpoint built from the
+        prefix before it."""
         top = make_alphabet(["1", "2"], [0, 1])
         if side == "forward":
             bottom = make_alphabet(["x", "y"], [1, 0])
-            cols = [(0, -1), (1, 1)]
-            error, match = ForeignLetterError, "letter index -1 out of range"
+            cols = [(1, 0), (0, 0)]
+            match = r"row condition fails at cell \(1, 2\)"
         else:
             bottom = make_alphabet(["x", "y"], [0, 0])
             cols = [(0, 0), (0, 0), (1, 1), (1, 1)]
-            error, match = ValidationError, r"row condition fails at cell \(2, 2\)"
+            match = r"row condition fails at cell \(2, 2\)"
             rsk_forward(TwoRowedArray(top, bottom, cols))
         prefixes = [cols[:k] for k in range(len(cols) + 1)]
         monkeypatch.setattr(superplactic.rsk, "_column_walk",
                             lambda top, bottom, max_cols: iter(prefixes))
         records = []
-        with pytest.raises(error, match=match) as probe:
+        with pytest.raises(ValidationError, match=match) as probe:
             symmetry_probe(top, bottom, len(cols), sink=records.append)
         assert [record["symmetric"] for record in records] == [
             has_symmetry(TwoRowedArray(top, bottom, prefix)) for prefix in prefixes[:len(records)]]
-        assert len(records) == {"forward": 1, "involuted": 4}[side]
-        with pytest.raises(error, match=match) as single:
+        assert len(records) == {"forward": 2, "involuted": 4}[side]
+        with pytest.raises(ValidationError, match=match) as single:
             has_symmetry(TwoRowedArray(top, bottom, cols))
+        u_alphabet = bottom if side == "forward" else top
         for exc in (probe, single):
-            frames = [entry.name for entry in exc.traceback]
-            assert frames[-1] == "_forward_rows"
-            assert ("_involuted_rows" in frames) == (side == "involuted")
+            check = exc.traceback[-1]
+            assert check.name == "_check_cell"
+            assert check.locals["prow"] is u_alphabet.row_next
+            assert check.locals["pcol"] is u_alphabet.col_next
+        frames = [entry.name for entry in single.traceback]
+        assert ("_involuted_rows" in frames) == (side == "involuted")
+
+    @pytest.mark.parametrize("letter", [-1, 2, 0.0, [0], None])
+    def test_probe_checks_letters_before_its_memo(self, monkeypatch, letter):
+        """A new column's letters are checked before the probe reads its
+        step memo: the array before the faulty one fills the memo's slot
+        for letter 0, which a float 0.0 would otherwise read, and a list
+        would fail to index.  The faulty letter is tried on top and on
+        bottom; both raise the message `_forward_rows` gives."""
+        alphabet = make_alphabet(["1", "2"], [0, 1])
+        for column in ((letter, 0), (0, letter)):
+            prefixes = [[], [(0, 0)], [column]]
+            monkeypatch.setattr(superplactic.rsk, "_column_walk",
+                                lambda top, bottom, max_cols: iter(prefixes))
+            records = []
+            with pytest.raises(ForeignLetterError, match=r"letter index %s out of range" % re.escape(str(letter))):
+                symmetry_probe(alphabet, alphabet, 1, sink=records.append)
+            assert len(records) == 2
+            with pytest.raises(ForeignLetterError, match=r"letter index %s out of range" % re.escape(str(letter))):
+                has_symmetry(TwoRowedArray(alphabet, alphabet, [column]))
 
     def test_top_letters_are_checked(self):
         """A top letter outside the top alphabet raises ForeignLetterError

@@ -341,6 +341,27 @@ class TestEnumerate:
                 if first is not None:
                     assert first.shape == lam and check_tableau(first) is first
 
+    def test_outside_the_hook_makes_no_rows(self, monkeypatch):
+        """A shape outside the hook, lambda_{m+1} > n, ends before any row
+        is made, with or without a row memo: (4)^10 and (5)^10 over nine
+        parity-0 letters, whose partial fillings number in the millions,
+        and (5)^5 over four parity-0 and four parity-1 letters."""
+        made = []
+
+        def counted_rows_under(above, length, alphabet):
+            for row in rows_under(above, length, alphabet):
+                made.append(row)
+                yield row
+
+        rows_under = superplactic.tableau._rows_under
+        monkeypatch.setattr(superplactic.tableau, "_rows_under", counted_rows_under)
+        nine_even = make_alphabet([str(i) for i in range(1, 10)], [0] * 9)
+        mixed = make_alphabet([str(i) for i in range(1, 9)], [0, 1] * 4)
+        for lam, alphabet in (((4,) * 10, nine_even), ((5,) * 10, nine_even), ((5,) * 5, mixed)):
+            assert next(enumerate_tableaux(lam, alphabet), None) is None
+            assert list(_fillings(lam, alphabet, {})) == []
+            assert made == [], lam
+
     def test_streaming_keeps_no_rows(self):
         """A full enumeration holds one partial filling, not the rows it has
         made: streaming the 24,310 one-row tableaux of (9,) over nine parity-0
