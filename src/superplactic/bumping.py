@@ -27,15 +27,15 @@ The private primitives work on lists of letter-index rows in place and
 share one 0-based convention: `_bump_row` and `_bump_col` return the row of
 the cell they add, and `_unbump_row` and `_unbump_col` take the row whose
 last cell they remove (for a column deletion, the bottom cell of its
-column).  Their traces hold 0-based (row, column, letter index) steps.  Two
-batch primitives move a horizontal strip at once: `_insert_row_word` row
-inserts a row word and returns the count of cells each 0-based row gained,
-which is the strip, and `_delete_row_strip` takes such counts and returns
-the ejected letters, the same rows and letters as one `_bump_row` per letter
-or one `_unbump_row` per cell.  One step works on a single row tuple:
-`_bump_one_row` row inserts any word into it and returns the new row and
+column).  Their traces hold 0-based (row, column, letter index) steps.  One
+row step, `_row_step`, row inserts any word into a single row and returns
 the letters it bumps, the word the next row receives, so a word enters a
-tableau one row at a time.  The public functions keep 1-based rows and
+tableau one row at a time: `ring_product` steps each row of a term, and
+`_insert_row_word` steps a row word down the rows and returns the count of
+cells each 0-based row gained, which is a horizontal strip.
+`_delete_row_strip` takes such counts and returns the ejected letters.
+These give the same rows and letters as one `_bump_row` per letter or one
+`_unbump_row` per cell.  The public functions keep 1-based rows and
 columns: an insertion reports the row (or column) of the cell it adds, and
 a deletion takes a row (or column) index.  Only the `*_trace` insertions
 record the bumping chain.
@@ -46,7 +46,8 @@ fresh objects.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections.abc import Iterable
 
 from .errors import AlphabetMismatchError, CornerError, _excerpt
 from .tableau import Tableau, Word
@@ -77,24 +78,30 @@ def _bump_row(rows: list[list[int]], x: int, col_next: tuple[int, ...], trace=No
         i += 1
 
 
-def _bump_one_row(row: tuple[int, ...], xs: tuple[int, ...],
-                  col_next: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row insert the letters xs, in order, into the single row; returns the
-    new row and the letters it bumps, in the order it bumps them.
+def _row_step(row: list[int], xs: Iterable[int], col_next: tuple[int, ...]) -> list[int]:
+    """Row insert the letters xs, in order, into the single row, mutating
+    it; returns the letters it bumps, in the order it bumps them.
 
-    These are row i's part of one `_bump_row` per letter: row i meets the
-    letters in the order they arrive, and what it bumps, in that order, is
-    what row i + 1 meets.  So a word enters a tableau one row at a time."""
-    out = list(row)
+    These are the row's part of one `_bump_row` per letter: the row meets
+    the letters in the order they arrive, and what it bumps, in that order,
+    is what the next row meets.  Only the first of a run of equal letters x
+    looks its cell up: each later copy lands col_next[x] - x cells right of
+    the one before (1 for parity 0; 0 for parity 1, bumping it on)."""
     bumped: list[int] = []
+    last = j = -1
     for x in xs:
-        j = bisect_left(out, col_next[x])
-        if j == len(out):
-            out.append(x)
+        if x == last:
+            j += bound - x
         else:
-            bumped.append(out[j])
-            out[j] = x
-    return tuple(out), tuple(bumped)
+            bound = col_next[x]
+            j = bisect_left(row, bound)
+            last = x
+        if j < len(row):
+            bumped.append(row[j])
+            row[j] = x
+        else:
+            row.append(x)
+    return bumped
 
 
 def _unbump_row(rows: list[list[int]], r: int, row_next: tuple[int, ...]) -> int:
@@ -115,31 +122,17 @@ def _unbump_row(rows: list[list[int]], r: int, row_next: tuple[int, ...]) -> int
 
 def _insert_row_word(rows: list[list[int]], xs: list[int], col_next: tuple[int, ...]) -> list[int]:
     """Row insert the nonempty row word xs (each letter at least row_next of
-    the one before), mutating rows one row at a time; returns the number of
-    cells added to each 0-based row that the letters reached.
-
-    A row meets its letters in the order that inserting them one by one
-    would bring them, so running row by row gives the same rows.  A run of
-    equal letters x replaces row[j:j+k] with j = bisect_left(row,
-    col_next[x]), appending what reaches past the end; the letters it
-    bumps, in order, are the next row's row word, and a new row takes its
-    row word whole."""
+    the one before), mutating rows one `_row_step` at a time; returns the
+    number of cells added to each 0-based row that the letters reached.
+    The letters a row bumps form a row word again, which a new row takes
+    whole."""
     grown = []
     for row in rows:
         before = len(row)
-        bumped: list[int] = []
-        t = 0
-        while t < len(xs):
-            x = xs[t]
-            k = bisect_right(xs, x, t)
-            j = bisect_left(row, col_next[x])
-            bumped += row[j:j + k - t]
-            row[j:j + k - t] = xs[t:k]
-            t = k
+        xs = _row_step(row, xs, col_next)
         grown.append(len(row) - before)
-        if not bumped:
+        if not xs:
             return grown
-        xs = bumped
     rows.append(list(xs))
     grown.append(len(xs))
     return grown

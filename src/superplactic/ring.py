@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .alphabet import SignedAlphabet
-from .bumping import _bump_one_row
+from .bumping import _row_step
 from .errors import AlphabetMismatchError, _bound_error, _require_int, _require_mode, _require_setting
 from .shape import Partition, as_partition, conjugate_partition
 from .tableau import Tableau, _fillings
@@ -144,7 +144,9 @@ def ring_product(f: FormalSum, g: FormalSum) -> FormalSum:
                     key = (row, word)
                     step = steps.get(key)
                     if step is None:
-                        step = steps[key] = _bump_one_row(row, word, col_next)
+                        new = list(row)
+                        bumped = _row_step(new, word, col_next)
+                        step = steps[key] = tuple(new), tuple(bumped)
                     row, word = step
                     rows.append(row)
                 yield (*rows, *base[len(rows):]), c * d

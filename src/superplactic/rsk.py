@@ -14,13 +14,14 @@ ever gains a cell at the end of a row and never changes a placed one, so
 these checks together are the full tableau check of the final U.  In a
 valid array the tops over one parity-0 bottom letter form a row word, and
 row inserting a row word adds a horizontal strip (the row bumping lemma),
-so `rsk_forward` inserts a long run of such columns as one word, row by
-row.  The inverse map peels each bottom letter of U as one strip, from the
-largest down: a horizontal strip for a parity-0 letter, deleted from T row
-by row, and a vertical strip for a parity-1 letter, deleted one column
-deletion per cell.  A U that is not semistandard has a letter that is not
-such a strip, and raises CornerError.  The recovered columns, each block
-sorted and the blocks taken in increasing bottom letter, form the array.
+so the forward map, in `rsk_forward` and `has_symmetry` alike, inserts a
+long run of such columns as one word, row by row.  The inverse map peels
+each bottom letter of U as one strip, from the largest down: a horizontal
+strip for a parity-0 letter, deleted from T row by row, and a vertical
+strip for a parity-1 letter, deleted one column deletion per cell.  A U
+that is not semistandard has a letter that is not such a strip, and raises
+CornerError.  The recovered columns, each block sorted and the blocks
+taken in increasing bottom letter, form the array.
 
 Swapping the two rows of every column and re-sorting gives the involution
 on arrays.  An array "has symmetry" when the involution exchanges the roles
@@ -46,6 +47,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from math import comb
 
 from .alphabet import SignedAlphabet, _pair_parities, make_alphabet
 from .bumping import (
@@ -152,16 +154,28 @@ def validate_array(
     return TwoRowedArray(top_alphabet, bottom_alphabet, pairs)
 
 
+# A run of fewer columns is bumped one column at a time: for short runs a
+# strip's bookkeeping costs more than the bumps it replaces.  The bound was
+# set where the two broke even on random arrays over 3-letter alphabets.
+_STRIP_MIN = 24
+
+
 def _forward_rows(
     trows: list[list[int]],
     urows: list[list[int]],
-    pairs: Iterable[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
     top_alphabet: SignedAlphabet,
     bottom_alphabet: SignedAlphabet,
 ) -> None:
     """Extend the index rows of (T, U) by the columns `pairs`, in order,
     checking each column's letters before its top letter is bumped and
-    each cell of U, with `_check_cell`, as it is placed."""
+    each cell of U, with `_check_cell`, as it is placed.
+
+    A run of at least _STRIP_MIN columns over one parity-0 bottom letter b,
+    whose tops form a row word, is row inserted as one word instead.  T
+    then gains a horizontal strip, and `_place_strip` puts b in its cells
+    of U.  The rows and the first fault are those of one bump per column.
+    """
     ppar = bottom_alphabet.parities
     n = len(ppar)
     prow = bottom_alphabet.row_next
@@ -169,18 +183,67 @@ def _forward_rows(
     row_next = top_alphabet.row_next
     col_next = top_alphabet.col_next
     m = len(row_next)
-    for a, b in pairs:
+    reach = _STRIP_MIN - 1
+    starts = len(pairs) - reach  # the columns a run can start at
+    k = 0
+    while k < len(pairs):
+        a, b = pairs[k]
         # inline rather than errors._require_indices: this runs once per column
         if not (isinstance(a, int) and 0 <= a < m):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
         if not (isinstance(b, int) and 0 <= b < n):
             raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
+        # exact types: a bool equal to an index forms no run
+        if k < starts and pairs[k + reach][1] == b and not ppar[b] and type(a) is type(b) is int:
+            xs = [a]
+            least = row_next[a]
+            for x, c in islice(pairs, k + 1, None):
+                if c != b or type(c) is not int or type(x) is not int or not least <= x < m:
+                    break
+                xs.append(x)
+                least = row_next[x]
+            if len(xs) >= _STRIP_MIN:
+                _place_strip(urows, _insert_row_word(trows, xs, col_next), b, prow, pcol)
+                k += len(xs)
+                continue
         r = _bump_col(trows, a, row_next) if ppar[b] else _bump_row(trows, a, col_next)
         if r == len(urows):
             urows.append([b])
         else:
             urows[r].append(b)
         _check_cell(urows, r, prow, pcol)
+        k += 1
+
+
+def _place_strip(urows: list[list[int]], grown: list[int], b: int,
+                 prow: tuple[int, ...], pcol: tuple[int, ...]) -> None:
+    """Put the letter b in the cells of U that T gained as a horizontal
+    strip, grown[r] cells at the end of 0-based row r, checked in the order
+    that one bump per column would place them: lowest row first, and left
+    to right."""
+    # A row's new cells fail the column condition from some column on, as
+    # the row above increases, so its last cell stands for them all until
+    # one fails; then the first that fails raises.
+    for r in range(len(grown) - 1, -1, -1):
+        g = grown[r]
+        if not g:
+            continue
+        if r == len(urows):
+            urows.append([])
+        row = urows[r]
+        j = len(row)
+        if j and b < prow[row[-1]]:
+            raise _cell_error("row", r + 1, j + 1)
+        row += [b] * g
+        if r:
+            above = urows[r - 1]
+            if j + g > len(above) or b < pcol[above[j + g - 1]]:
+                while j < len(above) and b >= pcol[above[j]]:
+                    j += 1
+                del row[j + 1:]
+                if j == len(above):
+                    raise _longer_row_error(urows)
+                raise _cell_error("column", r + 1, j + 1)
 
 
 def _check_cell(
@@ -213,83 +276,6 @@ def _check_cell(
             raise _cell_error("column", r + 1, j + 1)
 
 
-# A run of fewer columns is bumped one column at a time.  For short runs
-# the slices that move a strip cost more than the bumps they replace; on
-# random arrays over 3-letter alphabets the two break even near 24 columns.
-_STRIP_MIN = 24
-
-
-def _forward_strips(
-    trows: list[list[int]],
-    urows: list[list[int]],
-    pairs: Sequence[tuple[int, int]],
-    top_alphabet: SignedAlphabet,
-    bottom_alphabet: SignedAlphabet,
-) -> None:
-    """`_forward_rows`, with the same rows and the same first fault, but a
-    run of at least _STRIP_MIN columns over one parity-0 bottom letter b,
-    whose tops form a row word, is row inserted as one word.  T then gains
-    a horizontal strip, and U gets b in its cells, checked in the order
-    that one bump per column would place them: lowest row first, and left
-    to right.  The columns between runs go to `_forward_rows`.
-    """
-    ppar = bottom_alphabet.parities
-    n = len(ppar)
-    prow = bottom_alphabet.row_next
-    pcol = bottom_alphabet.col_next
-    row_next = top_alphabet.row_next
-    m = len(row_next)
-    done = k = 0
-    reach = _STRIP_MIN - 1
-    starts = len(pairs) - reach  # the columns a run can start at
-    while k < starts:
-        a, b = pairs[k]
-        # exact types: a float or bool equal to an index forms no strip, so
-        # `_forward_rows` judges it as before
-        if (pairs[k + reach][1] != b or type(b) is not int or not 0 <= b < n or ppar[b]
-                or type(a) is not int or not 0 <= a < m):
-            k += 1
-            continue
-        xs = [a]
-        least = row_next[a]
-        for a, c in islice(pairs, k + 1, None):
-            if c != b or type(c) is not int or type(a) is not int or not least <= a < m:
-                break
-            xs.append(a)
-            least = row_next[a]
-        if len(xs) < _STRIP_MIN:
-            # a run starting inside xs ends where xs ends
-            k += len(xs)
-            continue
-        _forward_rows(trows, urows, pairs[done:k], top_alphabet, bottom_alphabet)
-        k = done = k + len(xs)
-        grown = _insert_row_word(trows, xs, top_alphabet.col_next)
-        # A row's new cells fail the column condition from some column on,
-        # as the row above increases, so its last cell stands for them all
-        # until one fails; then the first that fails raises.
-        for r in range(len(grown) - 1, -1, -1):
-            g = grown[r]
-            if not g:
-                continue
-            if r == len(urows):
-                urows.append([])
-            row = urows[r]
-            j = len(row)
-            if j and b < prow[row[-1]]:
-                raise _cell_error("row", r + 1, j + 1)
-            row += [b] * g
-            if r:
-                above = urows[r - 1]
-                if j + g > len(above) or b < pcol[above[j + g - 1]]:
-                    while j < len(above) and b >= pcol[above[j]]:
-                        j += 1
-                    del row[j + 1:]
-                    if j == len(above):
-                        raise _longer_row_error(urows)
-                    raise _cell_error("column", r + 1, j + 1)
-    _forward_rows(trows, urows, pairs[done:], top_alphabet, bottom_alphabet)
-
-
 def _longer_row_error(urows: Sequence[Sequence[int]]) -> ShapeError:
     return ShapeError("row lengths must weakly decrease, got %s" % _excerpt([len(u) for u in urows]))
 
@@ -298,7 +284,7 @@ def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
     """The correspondence: array to an equal-shape tableau pair (T, U)."""
     trows: list[list[int]] = []
     urows: list[list[int]] = []
-    _forward_strips(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
+    _forward_rows(trows, urows, array.pairs, array.top_alphabet, array.bottom_alphabet)
     T = Tableau(array.top_alphabet, trows)
     U = Tableau(array.bottom_alphabet, urows)
     assert T.shape == U.shape
@@ -626,7 +612,9 @@ def symmetry_probe(
 ) -> ProbeReport:
     """Classify every array with at most max_cols columns by (hypotheses
     satisfied, symmetric).  `sink`, if given, receives one dict per array,
-    which the command line driver streams out as JSON lines.
+    which the `probe` command streams out as JSON lines.  The arrays are
+    counted first: more than max_arrays raise BoundExceededError before
+    the walk starts.
 
     Both sides are carried down the walk, and a step memo that lives for
     this call does their bumping.  Every insertion tableau, T on the
@@ -653,10 +641,18 @@ def symmetry_probe(
     """
     _require_int("examples_per_cell", examples_per_cell)
     _require_setting("max_arrays", max_arrays)
+    walk = _column_walk(top_alphabet, bottom_alphabet, max_cols)
+    par = _pair_parities(top_alphabet, bottom_alphabet)
+    # a row word of the product alphabet: j distinct parity-1 letters and at
+    # most max_cols - j parity-0 letters, repeats allowed, in sorted order
+    p1 = sum(par)
+    p0 = len(par) - p1
+    arrays = sum(comb(p1, j) * comb(p0 + max_cols - j, p0) for j in range(min(p1, max_cols) + 1))
+    if arrays > max_arrays:
+        raise _bound_error("probe exceeded {limit} arrays", arrays, max_arrays, "max_arrays")
     aligned = _aligned(top_alphabet, bottom_alphabet)
     top_letters = top_alphabet.letters
     bottom_letters = bottom_alphabet.letters
-    par = _pair_parities(top_alphabet, bottom_alphabet)
     m = len(top_alphabet)
     n = len(bottom_alphabet)
     lpar = top_alphabet.parities
@@ -676,10 +672,8 @@ def symmetry_probe(
     # involuted slots of each top letter, and the checkpoints.
     stack: list[tuple[int, tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...],
                       list[tuple[int, tuple[tuple[int, ...], ...]]]]] = []
-    for cols in _column_walk(top_alphabet, bottom_alphabet, max_cols):
+    for cols in walk:
         total += 1
-        if total > max_arrays:
-            raise _bound_error("probe exceeded {limit} arrays", total, max_arrays, "max_arrays")
         # The walk kept the first len(cols) - 1 columns, so that prefix's
         # states are on the stack: step them by the last column.
         depth = len(cols)

@@ -87,7 +87,7 @@ SITES = {
     ),
     "probe_arrays": (
         {}, lambda: symmetry_probe(_mixed(), _mixed(), 3, max_arrays=5),
-        "probe exceeded 5 arrays", 6, 5, "max_arrays",
+        "probe exceeded 5 arrays", 25, 5, "max_arrays",
     ),
     # every bound setting must be an integer, checked on the call
     "class_length_text": (

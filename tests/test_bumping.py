@@ -31,7 +31,7 @@ from superplactic import (
     SkewDiagram,
 )
 
-from superplactic.bumping import _bump_row, _delete_row_strip, _insert_row_word, _unbump_row
+from superplactic.bumping import _bump_row, _delete_row_strip, _insert_row_word, _row_step, _unbump_row
 
 from oracles import _scan_col_insert, _scan_row_insert, all_signatures, insertion_tableau
 
@@ -371,6 +371,37 @@ class TestRowWordGrowth:
             assert _delete_row_strip(strip, grown, row_next) == ejected
             assert strip == back
         assert straddles > 50 and odd_letters > 250, (straddles, odd_letters)
+
+    def test_row_step_matches_one_bump_per_letter(self):
+        """On seeded words in any order over random signatures, made of runs
+        of equal letters, `_row_step` taken row by row through the oracle's
+        tableaux of up to 30 cells gives the rows of one `_bump_row` per
+        letter.  A run of a parity-1 letter bumps each copy on to the next
+        row; a run of a parity-0 letter can bump in a row and then run past
+        its end."""
+        rng = random.Random(2222)
+        odd_runs = straddles = 0
+        for _ in range(1000):
+            k = rng.randint(1, 5)
+            alphabet = make_alphabet([str(i) for i in range(k)], [rng.randint(0, 1) for _ in range(k)])
+            par, col_next = alphabet.parities, alphabet.col_next
+            start = [list(r) for r in insertion_tableau([rng.randrange(k) for _ in range(rng.randint(0, 30))], par)]
+            xs = [x for _ in range(rng.randint(1, 6)) for x in [rng.randrange(k)] * rng.randint(1, 4)]
+            one = [r[:] for r in start]
+            ends = [_bump_row(one, x, col_next) for x in xs]
+            rows = [r[:] for r in start]
+            word, r = xs, 0
+            while word:
+                if r == len(rows):
+                    rows.append([])
+                word = _row_step(rows[r], word, col_next)
+                r += 1
+            assert rows == one, (xs, start)
+            pairs = list(zip(xs, xs[1:], ends, ends[1:]))
+            odd_runs += any(x == y and par[x] for x, y, _, _ in pairs)
+            # a copy bumps in the first row, and the next copy ends that row
+            straddles += any(x == y and not par[x] and e > 0 and f == 0 for x, y, e, f in pairs)
+        assert odd_runs > 500 and straddles > 200, (odd_runs, straddles)
 
     def test_strip_deletion_ejects_as_one_deletion_per_cell(self):
         """On trusted tableaux whose rows increase but whose columns may

@@ -348,6 +348,20 @@ class TestProbeAndPieri:
         assert (code, err) == (0, "")
         assert out.startswith("arrays: 1101\n")
 
+    def test_probe_array_bound_fails_before_the_walk(self, files, capsys):
+        """The arrays are counted before the walk: a --max-cols far past the
+        default bound of 10**6 arrays exits 1 at once, with one error line
+        and no record written."""
+        out_path = files["dir"] / "huge.jsonl"
+        code, out, err = run_cli(
+            ["probe", "--alphabet-l", files["mixed2"], "--alphabet-p", files["mixed2"],
+             "--max-cols", "9" * 23, "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "BoundExceededError: probe exceeded 1000000 arrays\n"
+        assert out_path.read_text() == ""
+
     def test_pieri_text(self, files, capsys):
         code, out, _ = run_cli(
             ["pieri", "--shape", "2,1", "--p", "2", "--alphabet", files["mixed4"]], capsys

@@ -353,9 +353,10 @@ class TestPieri:
         shape, and the right side still holds one count per strip."""
 
         def append_to_the_row(row, xs, col_next):
-            return row + xs, ()
+            row += xs
+            return []
 
-        monkeypatch.setattr(superplactic.ring, "_bump_one_row", append_to_the_row)
+        monkeypatch.setattr(superplactic.ring, "_row_step", append_to_the_row)
         for sig in ((0, 1, 0), (1, 0, 1), (0, 0, 1)):
             alphabet = make_alphabet(["1", "2", "3"], list(sig))
             for lam, p, mode in (((2, 1), 2, "row"), ((2, 1), 2, "col"), ((1,), 1, "col"), ((3, 1), 3, "row")):
@@ -411,8 +412,9 @@ class TestLittlewoodRichardson:
         to the first row."""
 
         def append_to_the_row(row, xs, col_next):
-            return row + xs, ()
+            row += xs
+            return []
 
-        monkeypatch.setattr(superplactic.ring, "_bump_one_row", append_to_the_row)
+        monkeypatch.setattr(superplactic.ring, "_row_step", append_to_the_row)
         _, differ = lr_differences(2, 2, 4)
         assert ((0, 0), (1,), (1,)) in differ

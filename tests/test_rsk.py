@@ -332,7 +332,10 @@ class TestStrips:
         """On seeded trusted arrays of up to 24 columns, unsorted or free to
         repeat a pair of parity 1, the strips give the same pair, or raise
         the same error naming the same cell and condition, as one bump per
-        column."""
+        column.  `has_symmetry` runs the strips on both of its sides, and
+        gives the same outcome on those arrays and on every array of up to
+        5 columns over each pair of a 3-letter and a 2-letter signature,
+        either way round (15,120 arrays)."""
         rng = random.Random(1919)
         arrays = []
         for _ in range(1200):
@@ -342,23 +345,35 @@ class TestStrips:
             if rng.random() < 0.7:
                 pairs.sort(key=lambda ab: (ab[1], ab[0]))
             arrays.append(TwoRowedArray(top, bottom, pairs))
+        small = []
+        for sig3 in all_signatures(3):
+            for sig2 in all_signatures(2):
+                three, two = make_alphabet("abc", sig3), make_alphabet("xy", sig2)
+                small += [*enumerate_arrays(three, two, 5), *enumerate_arrays(two, three, 5)]
+        assert len(small) == 15120
+
+        frames = []  # the frame that raised each fault
+
+        def outcome(run, array):
+            try:
+                return run(array)
+            except ValidationError as exc:
+                tb = exc.__traceback__
+                while tb.tb_next:
+                    tb = tb.tb_next
+                frames.append(tb.tb_frame.f_code.co_name)
+                return str(exc), exc.cell, exc.condition
+
         outcomes = []
-        strip_faults = 0
         for strip_min in (2, 10**9):  # every run of two or more, then none
             monkeypatch.setattr(superplactic.rsk, "_STRIP_MIN", strip_min)
-            outcomes.append([])
-            for array in arrays:
-                try:
-                    t, u = rsk_forward(array)
-                    outcomes[-1].append((t.rows, u.rows))
-                except ValidationError as exc:
-                    outcomes[-1].append((str(exc), exc.cell, exc.condition))
-                    tb = exc.__traceback__
-                    while tb.tb_next:
-                        tb = tb.tb_next
-                    strip_faults += tb.tb_frame.f_code.co_name == "_forward_strips"
+            forward = [outcome(rsk_forward, array) for array in arrays]
+            symmetric = [outcome(has_symmetry, array) for array in arrays + small]
+            outcomes.append((forward, symmetric))
         assert outcomes[0] == outcomes[1]
-        assert strip_faults > 50 and sum(len(out) == 2 for out in outcomes[0]) > 200
+        forward, symmetric = outcomes[0]
+        assert frames.count("_place_strip") > 50 and sum(len(out) == 2 for out in forward) > 200
+        assert symmetric[len(arrays):].count(False) > 1000
 
 
 class TestWordEmbedding:
@@ -582,6 +597,21 @@ class TestProbe:
     def test_cap(self, mixed2):
         with pytest.raises(BoundExceededError):
             symmetry_probe(mixed2, mixed2, 3, max_arrays=5)
+
+    def test_cap_is_checked_before_the_walk(self, mixed2):
+        """The arrays are counted before the walk, so a bound on their number
+        also bounds their length: max_cols = 10**22 raises at once, before
+        the sink sees a record, and names the count it would have walked."""
+        records = []
+        with pytest.raises(BoundExceededError, match="^probe exceeded 1000000 arrays$") as info:
+            symmetry_probe(mixed2, mixed2, 10**22, sink=records.append)
+        assert records == []
+        assert info.value.observed > 10**44
+        report = symmetry_probe(mixed2, mixed2, 4, max_arrays=41)
+        assert report.total == 41 == sum(1 for _ in enumerate_arrays(mixed2, mixed2, 4))
+        with pytest.raises(BoundExceededError):
+            symmetry_probe(mixed2, mixed2, 4, max_arrays=40, sink=records.append)
+        assert records == []
 
     def test_census_of_small_signatures(self):
         """Every array over the pair is symmetric only when both alphabets
