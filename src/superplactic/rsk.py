@@ -154,9 +154,14 @@ def validate_array(
     return TwoRowedArray(top_alphabet, bottom_alphabet, pairs)
 
 
-# A run of fewer columns is bumped one column at a time: for short runs a
-# strip's bookkeeping costs more than the bumps it replaces.  The bound was
-# set where the two broke even on random arrays over 3-letter alphabets.
+# A run of fewer columns is bumped one column at a time.  Long arrays do not
+# set the bound: `rsk_forward` on the seed-1 `rsk_roundtrip` pool timed the
+# same at every bound from 1 to 48.  Tiny arrays do, as every run tried as a
+# strip pays for its bookkeeping: on 2,000 random arrays of at most 4
+# columns over 3-letter alphabets, a bound of 1 made `rsk_forward` 27 % and
+# `has_symmetry` 57 % slower than 24 did, and a bound of 4 made them 4 % and
+# 7 % slower (Python 3.11 on a 2-CPU VM, medians of 15 interleaved passes
+# pinned to one CPU).
 _STRIP_MIN = 24
 
 
@@ -173,8 +178,9 @@ def _forward_rows(
 
     A run of at least _STRIP_MIN columns over one parity-0 bottom letter b,
     whose tops form a row word, is row inserted as one word instead.  T
-    then gains a horizontal strip, and `_place_strip` puts b in its cells
-    of U.  The rows and the first fault are those of one bump per column.
+    then gains a horizontal strip, and b goes into its cells of U, each
+    row's run checked by one `_check_cell`.  The rows and the first fault
+    are those of one bump per column.
     """
     ppar = bottom_alphabet.parities
     n = len(ppar)
@@ -203,7 +209,15 @@ def _forward_rows(
                 xs.append(x)
                 least = row_next[x]
             if len(xs) >= _STRIP_MIN:
-                _place_strip(urows, _insert_row_word(trows, xs, col_next), b, prow, pcol)
+                # b fills the strip's cells of U bottom row first, the order
+                # in which one bump per column would place them
+                grown = _insert_row_word(trows, xs, col_next)
+                for r in range(len(grown) - 1, -1, -1):
+                    if grown[r]:
+                        if r == len(urows):
+                            urows.append([])
+                        urows[r] += [b] * grown[r]
+                        _check_cell(urows, r, prow, pcol, grown[r])
                 k += len(xs)
                 continue
         r = _bump_col(trows, a, row_next) if ppar[b] else _bump_row(trows, a, col_next)
@@ -215,46 +229,17 @@ def _forward_rows(
         k += 1
 
 
-def _place_strip(urows: list[list[int]], grown: list[int], b: int,
-                 prow: tuple[int, ...], pcol: tuple[int, ...]) -> None:
-    """Put the letter b in the cells of U that T gained as a horizontal
-    strip, grown[r] cells at the end of 0-based row r, checked in the order
-    that one bump per column would place them: lowest row first, and left
-    to right."""
-    # A row's new cells fail the column condition from some column on, as
-    # the row above increases, so its last cell stands for them all until
-    # one fails; then the first that fails raises.
-    for r in range(len(grown) - 1, -1, -1):
-        g = grown[r]
-        if not g:
-            continue
-        if r == len(urows):
-            urows.append([])
-        row = urows[r]
-        j = len(row)
-        if j and b < prow[row[-1]]:
-            raise _cell_error("row", r + 1, j + 1)
-        row += [b] * g
-        if r:
-            above = urows[r - 1]
-            if j + g > len(above) or b < pcol[above[j + g - 1]]:
-                while j < len(above) and b >= pcol[above[j]]:
-                    j += 1
-                del row[j + 1:]
-                if j == len(above):
-                    raise _longer_row_error(urows)
-                raise _cell_error("column", r + 1, j + 1)
-
-
 def _check_cell(
-    urows: Sequence[Sequence[int]],
+    urows: list[Sequence[int]],
     r: int,
     prow: tuple[int, ...],
     pcol: tuple[int, ...],
+    g: int = 1,
 ) -> None:
-    """Check the cell just placed at the end of U's 0-based row r.
+    """Check the last g cells of U's 0-based row r, just placed, which all
+    hold one letter.
 
-    U grows only by one cell at the end of a row, and a placed cell never
+    U grows only by cells at the end of a row, and a placed cell never
     changes.  So every pair of neighbouring cells of U is checked exactly
     once, when the later cell is placed: the cell against its left
     neighbour (the row condition) and its upper neighbour (the column
@@ -262,22 +247,30 @@ def _check_cell(
     tables `prow` and `pcol`.  With each letter checked against U's
     alphabet before it is placed, that is the check of `check_tableau` on
     the final U, with the shape checked after every cell rather than once.
+
+    A run of g > 1 cells is a strip's cells in one row, with a parity-0
+    letter, so only its first cell can fail the row condition.  The row
+    above increases, so once a cell fails the column or shape condition
+    every later one does, and the last cell stands for them all.  When it
+    fails, the row is cut after the first cell that fails, which raises:
+    the error of placing the cells one at a time.
     """
     row = urows[r]
-    j = len(row) - 1
+    n = len(row)
+    j = n - g
     b = row[j]
     if j and b < prow[row[j - 1]]:
         raise _cell_error("row", r + 1, j + 1)
     if r:
         above = urows[r - 1]
-        if j >= len(above):
-            raise _longer_row_error(urows)
-        if b < pcol[above[j]]:
+        if n > len(above) or b < pcol[above[n - 1]]:
+            while j < len(above) and b >= pcol[above[j]]:
+                j += 1
+            urows[r] = row[:j + 1]
+            if j == len(above):
+                raise ShapeError("row lengths must weakly decrease, got %s"
+                                 % _excerpt([len(u) for u in urows]))
             raise _cell_error("column", r + 1, j + 1)
-
-
-def _longer_row_error(urows: Sequence[Sequence[int]]) -> ShapeError:
-    return ShapeError("row lengths must weakly decrease, got %s" % _excerpt([len(u) for u in urows]))
 
 
 def rsk_forward(array: TwoRowedArray) -> tuple[Tableau, Tableau]:
@@ -391,27 +384,17 @@ def array_involution(array: TwoRowedArray) -> TwoRowedArray:
     return TwoRowedArray(array.bottom_alphabet, array.top_alphabet, _swapped(array.pairs))
 
 
-def _involuted_rows(
-    pairs: Iterable[tuple[int, int]],
-    top_alphabet: SignedAlphabet,
-    bottom_alphabet: SignedAlphabet,
-) -> tuple[list[list[int]], list[list[int]]]:
-    """The index rows (T, U) of the involution of the array with columns
-    `pairs` over (top, bottom)."""
-    t2: list[list[int]] = []
-    u2: list[list[int]] = []
-    _forward_rows(t2, u2, _swapped(pairs), bottom_alphabet, top_alphabet)
-    return t2, u2
-
-
 def has_symmetry(array: TwoRowedArray) -> bool:
     """Whether the involution swaps the two tableaux of the correspondence."""
     L = array.top_alphabet
     P = array.bottom_alphabet
     trows: list[list[int]] = []
     urows: list[list[int]] = []
+    t2: list[list[int]] = []
+    u2: list[list[int]] = []
     _forward_rows(trows, urows, array.pairs, L, P)
-    return _involuted_rows(array.pairs, L, P) == (urows, trows)
+    _forward_rows(t2, u2, _swapped(array.pairs), P, L)
+    return t2 == urows and u2 == trows
 
 
 def _parity_first(alphabet: SignedAlphabet, p: int) -> bool:

@@ -239,15 +239,18 @@ def _is_lattice(word):
     return True
 
 
-def super_tableau_count(lam, parities):
-    """Number of super semistandard fillings of the diagram lam over letters
-    with the given parities, in alphabet order.
+def super_content_counts(lam, parities):
+    """The super semistandard fillings of the diagram lam over letters with
+    the given parities, in alphabet order, counted by content: a dict from
+    the tuple of each letter's number of cells to the number of fillings.
 
     The cells holding the first i letters form a diagram, so a filling is a
     chain of diagrams from the empty one up to lam: a parity-0 letter adds
     a horizontal strip (no two cells in one column), a parity-1 letter a
-    vertical strip (no two cells in one row).  Counts the chains by a
-    dynamic program over the letters, never building a filling.
+    vertical strip (no two cells in one row), and the strip's size is the
+    letter's count.  Counts the chains by a dynamic program over the
+    letters, keyed by the diagram and the content so far, never building a
+    filling.
     """
     lam = tuple(lam)
     r = len(lam)
@@ -261,8 +264,22 @@ def super_tableau_count(lam, parities):
     def vertical(mu, nu):
         return all(0 <= n - m <= 1 for m, n in zip(mu, nu))
 
-    counts = {(0,) * r: 1}
+    # the strips each diagram can take, and their sizes, for each parity
+    steps = [{mu: [(nu, sum(nu) - sum(mu)) for nu in inside if strip(mu, nu)] for mu in inside}
+             for strip in (horizontal, vertical)]
+    counts = {((0,) * r, ()): 1}
     for parity in parities:
-        strip = vertical if parity else horizontal
-        counts = {nu: sum(c for mu, c in counts.items() if strip(mu, nu)) for nu in inside}
-    return counts.get(lam, 0)
+        grown = {}
+        for (mu, content), c in counts.items():
+            for nu, k in steps[parity][mu]:
+                key = (nu, content + (k,))
+                grown[key] = grown.get(key, 0) + c
+        counts = grown
+    return {content: c for (mu, content), c in counts.items() if mu == lam}
+
+
+def super_tableau_count(lam, parities):
+    """Number of super semistandard fillings of the diagram lam over letters
+    with the given parities, in alphabet order: the sum over contents of
+    `super_content_counts`."""
+    return sum(super_content_counts(lam, parities).values())

@@ -329,13 +329,17 @@ class TestStrips:
         assert arrays == 39120
 
     def test_strips_match_one_bump_per_column(self, monkeypatch):
-        """On seeded trusted arrays of up to 24 columns, unsorted or free to
-        repeat a pair of parity 1, the strips give the same pair, or raise
-        the same error naming the same cell and condition, as one bump per
-        column.  `has_symmetry` runs the strips on both of its sides, and
-        gives the same outcome on those arrays and on every array of up to
-        5 columns over each pair of a 3-letter and a 2-letter signature,
-        either way round (15,120 arrays)."""
+        """On trusted arrays, unsorted or free to repeat a pair of parity 1,
+        the strips give the same pair, or raise the same error naming the
+        same cell and condition, as one bump per column: 1,200 seeded
+        arrays of up to 24 columns, and every sequence of 2 to 5 columns
+        over each pair of 2-letter signatures.  Among those, a strip's run
+        of cells in a row, which one `_check_cell` call checks, can fail
+        the column condition after its first cell.  `has_symmetry` runs
+        the strips on both of its sides, and gives the same outcome on
+        those arrays and on every array of up to 5 columns over each pair
+        of a 3-letter and a 2-letter signature, either way round (15,120
+        arrays)."""
         rng = random.Random(1919)
         arrays = []
         for _ in range(1200):
@@ -345,6 +349,13 @@ class TestStrips:
             if rng.random() < 0.7:
                 pairs.sort(key=lambda ab: (ab[1], ab[0]))
             arrays.append(TwoRowedArray(top, bottom, pairs))
+        for sig_top in all_signatures(2):
+            for sig_bottom in all_signatures(2):
+                top, bottom = make_alphabet("ab", sig_top), make_alphabet("xy", sig_bottom)
+                for length in range(2, 6):
+                    arrays += (TwoRowedArray(top, bottom, pairs)
+                               for pairs in itertools.product(itertools.product(range(2), repeat=2), repeat=length))
+        assert len(arrays) == 1200 + 21760
         small = []
         for sig3 in all_signatures(3):
             for sig2 in all_signatures(2):
@@ -352,7 +363,7 @@ class TestStrips:
                 small += [*enumerate_arrays(three, two, 5), *enumerate_arrays(two, three, 5)]
         assert len(small) == 15120
 
-        frames = []  # the frame that raised each fault
+        frames = []  # the frame that raised each fault, and its run of cells
 
         def outcome(run, array):
             try:
@@ -361,7 +372,7 @@ class TestStrips:
                 tb = exc.__traceback__
                 while tb.tb_next:
                     tb = tb.tb_next
-                frames.append(tb.tb_frame.f_code.co_name)
+                frames.append((tb.tb_frame.f_code.co_name, tb.tb_frame.f_locals.get("g")))
                 return str(exc), exc.cell, exc.condition
 
         outcomes = []
@@ -372,8 +383,48 @@ class TestStrips:
             outcomes.append((forward, symmetric))
         assert outcomes[0] == outcomes[1]
         forward, symmetric = outcomes[0]
-        assert frames.count("_place_strip") > 50 and sum(len(out) == 2 for out in forward) > 200
+        strip_faults = sum(name == "_check_cell" and g > 1 for name, g in frames)
+        assert strip_faults > 50 and sum(len(out) == 2 for out in forward) > 200
         assert symmetric[len(arrays):].count(False) > 1000
+
+    def test_a_run_of_cells_is_checked_as_one_cell_at_a_time(self):
+        """`_check_cell` on the last g cells of a row, which hold one
+        parity-0 letter, raises what placing them one cell at a time
+        raises, or nothing when that raises nothing: every row of up to 3
+        cells with a run of 1 to 3 cells after it, under every weakly
+        increasing row of 1 to 4 cells or none, over every 3-letter
+        signature."""
+        check = superplactic.rsk._check_cell
+
+        def outcome(urows, run):
+            try:
+                run(urows)
+            except ShapeError as exc:
+                return type(exc), str(exc)
+            except ValidationError as exc:
+                return type(exc), str(exc), exc.cell, exc.condition
+            return None
+
+        def one_at_a_time(urows, b, g):
+            for _ in range(g):
+                urows[-1].append(b)
+                check(urows, len(urows) - 1, prow, pcol)
+
+        faults = set()
+        for sig in all_signatures(3):
+            alphabet = make_alphabet("abc", sig)
+            prow, pcol = alphabet.row_next, alphabet.col_next
+            aboves = [None] + [list(row) for k in range(1, 5)
+                               for row in itertools.combinations_with_replacement(range(3), k)]
+            for above, b, g, k in itertools.product(aboves, range(3), range(1, 4), range(4)):
+                if sig[b]:
+                    continue
+                for left in itertools.product(range(3), repeat=k):
+                    start = [] if above is None else [above]
+                    run = outcome([*start, [*left, *[b] * g]], lambda u: check(u, len(u) - 1, prow, pcol, g))
+                    assert run == outcome([*start, [*left]], lambda u: one_at_a_time(u, b, g))
+                    faults.add(run and run[0])
+        assert faults == {None, ShapeError, ValidationError}
 
 
 class TestWordEmbedding:
@@ -739,16 +790,19 @@ class TestProbe:
         assert [record["symmetric"] for record in records] == [
             has_symmetry(TwoRowedArray(top, bottom, prefix)) for prefix in prefixes[:len(records)]]
         assert len(records) == {"forward": 2, "involuted": 4}[side]
+        single_array = TwoRowedArray(top, bottom, cols)
         with pytest.raises(ValidationError, match=match) as single:
-            has_symmetry(TwoRowedArray(top, bottom, cols))
+            has_symmetry(single_array)
         u_alphabet = bottom if side == "forward" else top
         for exc in (probe, single):
             check = exc.traceback[-1]
             assert check.name == "_check_cell"
             assert check.locals["prow"] is u_alphabet.row_next
             assert check.locals["pcol"] is u_alphabet.col_next
-        frames = [entry.name for entry in single.traceback]
-        assert ("_involuted_rows" in frames) == (side == "involuted")
+        # the forward side runs on the array's own columns, the involuted
+        # side on the swapped ones
+        forward_rows = [entry for entry in single.traceback if entry.name == "_forward_rows"]
+        assert (forward_rows[-1].locals["pairs"] is single_array.pairs) == (side == "forward")
 
     @pytest.mark.parametrize("letter", [-1, 2, 0.0, [0], None])
     def test_probe_checks_letters_before_its_memo(self, monkeypatch, letter):
@@ -781,9 +835,9 @@ class TestProbe:
             for run in (rsk_forward, has_symmetry):
                 with pytest.raises(ForeignLetterError, match="letter index %s out of range" % letter) as exc:
                     run(array)
-                frames = [entry.name for entry in exc.traceback]
-                assert frames[-1] == "_forward_rows"
-                assert "_involuted_rows" not in frames
+                check = exc.traceback[-1]
+                assert check.name == "_forward_rows"
+                assert check.locals["pairs"] is array.pairs
 
     def test_negative_max_cols_raises_on_call(self, mixed2):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -33,7 +34,7 @@ from superplactic import (
 import superplactic.tableau
 from superplactic.tableau import _fillings
 
-from oracles import all_signatures, hook_length_count, super_tableau_count
+from oracles import all_signatures, hook_length_count, super_content_counts, super_tableau_count
 
 
 def small_tableaux(alphabet, max_cells):
@@ -314,6 +315,38 @@ class TestEnumerate:
         # not on where they sit in the order
         assert all(len(counts) == 1 for counts in by_sizes.values())
         assert len(by_sizes) == 45 * (2 + 3 + 4 + 5)
+
+    def test_contents_match_the_strip_oracle_on_every_ordering(self):
+        """Every shape of at most 6 cells (5 at 5 letters) over every
+        signature of 1 to 5 letters: the tableaux have the contents the
+        strip oracle counts.  Their generating function is the hook Schur
+        function of the shape, symmetric in the parity-0 letters and in
+        the parity-1 letters, whatever their order: with each content's
+        parity-0 counts sorted, and its parity-1 counts, the tally is the
+        oracle's for the signature 0^m 1^n."""
+
+        def hook_tally(contents, sig):
+            tally = Counter()
+            for content, c in contents.items():
+                tally[tuple(tuple(sorted(k for k, p in zip(content, sig) if p == parity)) for parity in (0, 1))] += c
+            return tally
+
+        hooks = {}  # (shape, 0^m 1^n) to the oracle's tally
+        cases = 0
+        for size in range(1, 6):
+            for sig in all_signatures(size):
+                alphabet = make_alphabet([str(i + 1) for i in range(size)], list(sig))
+                blocked = (0,) * sig.count(0) + (1,) * sig.count(1)
+                for cells in range(7 if size < 5 else 6):
+                    for lam in partitions(cells):
+                        contents = Counter(tuple(map(sum(t.rows, ()).count, range(size)))
+                                           for t in enumerate_tableaux(lam, alphabet))
+                        assert contents == super_content_counts(lam, sig), (sig, lam)
+                        if (lam, blocked) not in hooks:
+                            hooks[lam, blocked] = hook_tally(super_content_counts(lam, blocked), blocked)
+                        assert hook_tally(contents, sig) == hooks[lam, blocked], (sig, lam)
+                        cases += 1
+        assert cases == 30 * (2 + 4 + 8 + 16) + 19 * 32
 
     def test_first_tableau_makes_one_row_per_level(self, monkeypatch):
         """Rows are made only as they are read: the first tableau of a large
