@@ -62,27 +62,24 @@ def _knuth_swaps(xs: tuple[int, ...], row_next: tuple[int, ...],
                  col_next: tuple[int, ...]) -> list[int]:
     """Positions i whose pair xs[i], xs[i + 1] a single elementary move swaps.
 
-    Each move on a window a b c swaps one adjacent pair around a pivot y:
-    the first move swaps a, b around y = c, the second swaps b, c around
-    y = a.  With the swapped pair ordered as x <= z, the window is an
-    instance of the move exactly when x <= y <= z with the parity ties of
-    the module docstring, one comparison pair through row_next and
-    col_next.  The pair in the other order needs no test of its own: it
-    would ask for z <= y <= x, so both orders hold only when a = b = c,
-    and then the ties ask for that letter to have parity 0 and parity 1.
-    For the same reason a swapped pair never holds two equal letters, so
-    every move changes the word.  A position may be listed twice, once
-    from each window that holds its pair.
+    Each move swaps one adjacent pair around a pivot y: the first move
+    (xzy ~ zxy) has its pivot right after the pair, the second (yxz ~ yzx)
+    right before it.  With the pair ordered as x <= z, it is an instance of
+    a move exactly when x <= y <= z with the parity ties of the module
+    docstring.  Since b >= row_next[a] exactly when a < col_next[b], those
+    ties read row_next[x] <= y < row_next[z] for a pivot after the pair and
+    col_next[x] <= y < col_next[z] for one before it.  Both ranges are
+    empty when x = z, so every move changes the word.
     """
     out: list[int] = []
-    for p in range(len(xs) - 2):
-        a, b, c = xs[p], xs[p + 1], xs[p + 2]
-        x, z = (a, b) if a <= b else (b, a)
-        if c >= row_next[x] and z >= col_next[c]:  # xzy ~ zxy
-            out.append(p)
-        x, z = (b, c) if b <= c else (c, b)
-        if a >= col_next[x] and z >= row_next[a]:  # yxz ~ yzx
-            out.append(p + 1)
+    n = len(xs)
+    for i in range(n - 1):
+        x, z = xs[i], xs[i + 1]
+        if z < x:
+            x, z = z, x
+        if (i + 2 < n and row_next[x] <= xs[i + 2] < row_next[z]) or (
+                i and col_next[x] <= xs[i - 1] < col_next[z]):
+            out.append(i)
     return out
 
 

@@ -31,14 +31,15 @@ their parity-1 letters (or both the other way around) and every column has
 pair parity 0.  Outside those hypotheses `symmetry_probe` surveys what
 actually happens.  The probe carries the forward tableaux along its depth
 first walk over the arrays, so each array costs one insertion and the
-check of one cell of U on the forward side.  The walk's new column has
+placement of one cell of U on the forward side.  The walk's new column has
 the largest bottom letter so far, so on the involuted side, where columns
 are taken top letter first, it comes last among the columns with its top
 letter a: the probe keeps the involuted state after each top letter's
 columns, and replays only the new column and the columns whose top letter
-is larger than a.  Insertion tableaux recur across the arrays, so the
-probe interns them for one call and bumps each (tableau, letter, parity)
-once.
+is larger than a.  Tableaux recur across the arrays, so the probe interns
+them for one call, the insertion and recording tableaux over one alphabet
+in one table: it bumps each (tableau, letter, parity) once, and places and
+checks each (recording tableau, row, letter) once.
 """
 
 from __future__ import annotations
@@ -548,17 +549,22 @@ class ProbeReport:
 
 
 class _Steps:
-    """One side's steps in a probe call: insertion into interned tableaux.
+    """One alphabet's tableaux in a probe call, interned, and their steps.
 
     `rows[t]` holds the index rows of tableau t as a tuple of row tuples,
-    `ids` maps them back to t, and the empty tableau is 0.  Inserting this
-    side's letter x into tableau t, by row insertion (parity 0) or column
-    insertion (parity 1), gives `succ[t][2 * x + parity]`: the pair
-    (t', r) of the new tableau and the 0-based row of the cell it gained,
-    or None until that slot is first asked for.
+    `ids` maps them back to t, and the empty tableau is 0.  A side's
+    insertion tableau and the other side's recording tableau are over the
+    same alphabet, so they share one table.  Inserting letter x into
+    tableau t, by row insertion (parity 0) or column insertion (parity 1),
+    gives `succ[t][2 * x + parity]`: the pair (t', r) of the new tableau
+    and the 0-based row of the cell it gained, or None until that slot is
+    first asked for.  Placing letter x at the end of row r of a recording
+    tableau u gives `placed[key]`, for the caller's int key of (u, r, x):
+    the new tableau (never 0), whose new cell `_check_cell` passed when it
+    was first placed.
     """
 
-    __slots__ = ("row_next", "col_next", "width", "rows", "ids", "succ")
+    __slots__ = ("row_next", "col_next", "width", "rows", "ids", "succ", "placed")
 
     def __init__(self, alphabet: SignedAlphabet):
         self.row_next = alphabet.row_next
@@ -567,22 +573,38 @@ class _Steps:
         self.rows: list[tuple[tuple[int, ...], ...]] = [()]
         self.ids = {(): 0}
         self.succ: list[list[tuple[int, int] | None]] = [[None] * self.width]
+        self.placed: dict[int, int] = {}
+
+    def _intern(self, rows: tuple[tuple[int, ...], ...]) -> int:
+        """The id of `rows`, a new one with empty successor slots when unseen."""
+        known = self.rows
+        t = self.ids.setdefault(rows, len(known))
+        if t == len(known):
+            known.append(rows)
+            self.succ.append([None] * self.width)
+        return t
 
     def step(self, t: int, slot: int) -> tuple[int, int]:
         """Fill slot `slot` of tableau t: one bump on a copy of its rows."""
-        known = self.rows
-        rows = list(map(list, known[t]))
+        rows = list(map(list, self.rows[t]))
         if slot & 1:
             r = _bump_col(rows, slot >> 1, self.row_next)
         else:
             r = _bump_row(rows, slot >> 1, self.col_next)
-        key = tuple(map(tuple, rows))
-        grown = self.ids.setdefault(key, len(known))
-        if grown == len(known):
-            known.append(key)
-            self.succ.append([None] * self.width)
-        nxt = self.succ[t][slot] = (grown, r)
+        nxt = self.succ[t][slot] = (self._intern(tuple(map(tuple, rows))), r)
         return nxt
+
+    def place(self, key: int, u: int, r: int, x: int) -> int:
+        """Fill `placed[key]`: x placed at the end of row r of tableau u,
+        and checked."""
+        rows = [*self.rows[u]]
+        if r < len(rows):
+            rows[r] += (x,)
+        else:
+            rows.append((x,))
+        _check_cell(rows, r, self.row_next, self.col_next)
+        grown = self.placed[key] = self._intern(tuple(rows))
+        return grown
 
 
 def symmetry_probe(
@@ -599,30 +621,32 @@ def symmetry_probe(
     counted first: more than max_arrays raise BoundExceededError before
     the walk starts.
 
-    Both sides are carried down the walk, and a step memo that lives for
-    this call does their bumping.  Every insertion tableau, T on the
-    forward side and T2 on the involuted side, is interned as an int id
-    (one `_Steps` per side), and inserting a letter of a given parity into
-    an interned tableau is bumped once, when first met, and then read from
-    that side's successor table.  The recording tableaux U and U2 are
-    tuples of row tuples: each step places one cell, checked by
-    `_check_cell`, and shares the other rows.  A new column's letters are
-    checked before any table is read.  The memo holds each distinct
-    tableau once per side, with its successors, and is dropped on return.
+    Both sides are carried down the walk, and a memo that lives for this
+    call does their bumping and placing.  Every tableau is interned as an
+    int id, in one `_Steps` per alphabet: the top alphabet's holds T and
+    U2, the bottom alphabet's T2 and U.  Inserting a letter of a given
+    parity into an interned tableau is bumped once, when first met, and
+    then read from the successor table; placing a letter at the end of a
+    row of an interned U or U2 is placed and checked by `_check_cell`
+    once, when first met, and then read from the placement memo.  So each
+    distinct step of U is checked exactly once.  A new column's letters
+    are checked before any table is read.  The memo holds each distinct
+    tableau once per alphabet, with its steps, and is dropped on return.
 
     An array's new column (a, b) has the largest bottom letter so far, so
     in the involuted order, top letter first, it follows every column with
     top letter at most a and precedes the rest.  Each prefix on the stack
-    keeps, for every top letter x, the involuted state (T2 id, U2) after
+    keeps, for every top letter x, the involuted state (T2 id, U2 id) after
     all its columns with top letter at most x (its checkpoints), and the
     involuted step slots of its columns in blocks by top letter.  The
     array's involuted state is then the parent's checkpoint at a, stepped
     by the new column and by the parent's blocks above a.  A prefix that
     can still grow shares the parent's checkpoints below a; an array of
-    max_cols columns keeps none.  The array is symmetric when T2's rows
-    are U and U2 is T's rows.
+    max_cols columns keeps none.  The array is symmetric when T2 is U and
+    U2 is T, which compares ids.  The symbols of the array in hand are
+    kept on two stacks along the walk, and each record gets copies.
     """
-    _require_int("examples_per_cell", examples_per_cell)
+    _require_int("examples_per_cell", examples_per_cell, 0)
     _require_setting("max_arrays", max_arrays)
     walk = _column_walk(top_alphabet, bottom_alphabet, max_cols)
     par = _pair_parities(top_alphabet, bottom_alphabet)
@@ -640,21 +664,26 @@ def symmetry_probe(
     n = len(bottom_alphabet)
     lpar = top_alphabet.parities
     ppar = bottom_alphabet.parities
-    lrow, lcol = top_alphabet.row_next, top_alphabet.col_next
-    prow, pcol = bottom_alphabet.row_next, bottom_alphabet.col_next
-    fwd = _Steps(top_alphabet)
-    inv = _Steps(bottom_alphabet)
-    fsucc, frows, fstep = fwd.succ, fwd.rows, fwd.step
-    isucc, irows, istep = inv.succ, inv.rows, inv.step
+    top = _Steps(top_alphabet)  # T and U2
+    bottom = _Steps(bottom_alphabet)  # T2 and U
+    fsucc, fstep = top.succ, top.step
+    isucc, istep = bottom.succ, bottom.step
+    uplaced, uplace = bottom.placed, bottom.place
+    u2placed, u2place = top.placed, top.place
+    # A new cell's row is below max_cols, so (U id, row, letter) packs
+    # into one int.
+    ustride = max_cols * n
+    u2stride = max_cols * m
     report = ProbeReport(max_cols=max_cols)
     counts = report.counts
     examples = report.examples
     total = 0
     # stack[d] holds, for the first d columns of the array in hand, the
-    # forward state (T id, U), how many columns have pair parity 1, the
+    # forward state (T id, U id), how many columns have pair parity 1, the
     # involuted slots of each top letter, and the checkpoints.
-    stack: list[tuple[int, tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...],
-                      list[tuple[int, tuple[tuple[int, ...], ...]]]]] = []
+    stack: list[tuple[int, int, int, tuple[tuple[int, ...], ...], list[tuple[int, int]]]] = []
+    tops: list[str] = []
+    bottoms: list[str] = []
     for cols in walk:
         total += 1
         # The walk kept the first len(cols) - 1 columns, so that prefix's
@@ -671,16 +700,10 @@ def symmetry_probe(
             odd += par[b * m + a]
             slot = 2 * a + ppar[b]
             t, r = fsucc[t][slot] or fstep(t, slot)
-            u = [*u]
-            if r < len(u):
-                u[r] += (b,)
-            else:
-                u.append((b,))
-            _check_cell(u, r, prow, pcol)
-            u = tuple(u)
+            key = u * ustride + r * n + b
+            u = uplaced.get(key) or uplace(key, u, r, b)
             slot = 2 * b + lpar[a]
             t2, u2 = cps[a]
-            u2 = [*u2]
             grows = depth < max_cols
             if grows:
                 blocks = (*blocks[:a], (*blocks[a], slot), *blocks[a + 1:])
@@ -689,29 +712,26 @@ def symmetry_probe(
             for x, block in enumerate(((slot,), *blocks[a + 1:]), a):
                 for slot in block:
                     t2, r = isucc[t2][slot] or istep(t2, slot)
-                    if r < len(u2):
-                        u2[r] += (x,)
-                    else:
-                        u2.append((x,))
-                    _check_cell(u2, r, lrow, lcol)
+                    key = u2 * u2stride + r * m + x
+                    u2 = u2placed.get(key) or u2place(key, u2, r, x)
                 if grows:
-                    cps.append((t2, tuple(u2)))
-            u2 = tuple(u2)
+                    cps.append((t2, u2))
             if grows:
                 stack.append((t, u, odd, blocks, cps))
+            del tops[depth - 1:], bottoms[depth - 1:]
+            tops.append(top_letters[a])
+            bottoms.append(bottom_letters[b])
         else:
-            t, u, odd, t2, u2 = 0, (), 0, 0, ()
+            t, u, odd, t2, u2 = 0, 0, 0, 0, 0
             stack.append((t, u, odd, ((),) * m, [(t2, u2)] * m))
         hyp = aligned and odd == 0
-        sym = irows[t2] == u and u2 == frows[t]
-        key = (hyp, sym)
-        counts[key] += 1
-        if len(examples[key]) < examples_per_cell:
-            examples[key].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
+        sym = t2 == u and u2 == t
+        cell = (hyp, sym)
+        counts[cell] += 1
+        if len(examples[cell]) < examples_per_cell:
+            examples[cell].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
         if sink is not None:
-            sink({"top": [top_letters[a] for a, _ in cols],
-                  "bottom": [bottom_letters[b] for _, b in cols],
-                  "hypothesis": hyp, "symmetric": sym})
+            sink({"top": tops[:], "bottom": bottoms[:], "hypothesis": hyp, "symmetric": sym})
     report.total = total
     return report
 

@@ -207,6 +207,8 @@ def test_non_integer_gives_the_out_of_range_error(name):
 GATE_CALLS = {
     "probe_examples_per_cell": (lambda: symmetry_probe(_mixed(), _mixed(), 2, examples_per_cell="3"),
                                 ValueError, "examples_per_cell must be an integer, got '3'"),
+    "probe_examples_per_cell_negative": (lambda: symmetry_probe(_mixed(), _mixed(), 2, examples_per_cell=-1),
+                                         ValueError, "examples_per_cell must be at least 0"),
     "s_row_p": (lambda: s_row(-1, _mixed()), ValueError, "p must be at least 0"),
     "s_col_p": (lambda: s_col(-1, _mixed()), ValueError, "p must be at least 0"),
     "pieri_p": (lambda: pieri_check((1,), -1, _mixed()), ValueError, "p must be at least 0"),

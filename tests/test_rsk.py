@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import itertools
 import random
@@ -755,6 +756,46 @@ class TestProbe:
         columns = sum(len(array) for array in enumerate_arrays(alphabet, alphabet, 6))
         assert (report.total, columns) == (2471, 12901)
         assert counted[0] < report.total
+
+    def test_each_distinct_step_of_u_is_checked_once(self, monkeypatch):
+        """Counts the cell checks of the same census.  Checking every cell
+        as it is placed would cost each array past the empty one at least
+        two checks, one per side; with U and U2 interned and each placement
+        of a letter in a row of an interned tableau checked once, when first
+        met, the census makes fewer checks than there are arrays."""
+        counted = [0]
+
+        def counting(*args, check=superplactic.rsk._check_cell):
+            counted[0] += 1
+            return check(*args)
+
+        monkeypatch.setattr(superplactic.rsk, "_check_cell", counting)
+        alphabet = make_alphabet("abc", [0, 0, 1])
+        report = symmetry_probe(alphabet, alphabet, 6)
+        assert report.total == 2471
+        assert 0 < counted[0] < report.total
+
+    def test_sink_records_are_independent(self):
+        """Every record's lists belong to the sink: a sink that keeps the
+        records, and one that changes each record it gets, see the same
+        records, in order, as one that deep-copies each record."""
+        top = make_alphabet("abc", [0, 1, 0])
+        bottom = make_alphabet("xy", [1, 0])
+        copied = []
+        symmetry_probe(top, bottom, 4, sink=lambda record: copied.append(copy.deepcopy(record)))
+        kept = []
+        symmetry_probe(top, bottom, 4, sink=kept.append)
+        seen = []
+
+        def mutating(record):
+            seen.append(copy.deepcopy(record))
+            record["top"].append("?")
+            record["bottom"].clear()
+
+        symmetry_probe(top, bottom, 4, sink=mutating)
+        assert len(copied) == sum(1 for _ in enumerate_arrays(top, bottom, 4)) > 100
+        assert kept == copied
+        assert seen == copied
 
     @pytest.mark.parametrize("side", ["forward", "involuted"])
     def test_both_sides_validate_u(self, monkeypatch, side):
