@@ -14,10 +14,15 @@ col_next[x] the smallest letter allowed below x in a column.
   * Column insertion of x bumps, in each column, the topmost entry that is
     at least row_next[x]: a parity-0 letter bumps the topmost entry greater
     than or equal to x, a parity-1 letter the topmost entry strictly
-    greater.
+    greater.  Since b >= row_next[a] exactly when a < col_next[b], the
+    chain moves weakly up as it moves right, so `_bump_col` finds each
+    column's row by bisection over the rows above and shifts each stretch
+    the chain spends in one row one column right with one slice.
   * Column deletion pops the bottom cell of a column whose bottom cell is a
     removable corner; in each column further left the in-hand letter x
-    swaps with the lowest entry below col_next[x].
+    swaps with the lowest entry below col_next[x].  The chain moves weakly
+    down as it moves left, so `_unbump_col` bisects over the rows below
+    and shifts each stretch one column left.
 
 Insertion that bumps nothing appends x to the end of the row (or the bottom
 of the column).  A deletion whose in-hand letter finds nothing to swap with
@@ -48,11 +53,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
+from itertools import compress, count, repeat
+from operator import ge, itemgetter, lt
 
 from .errors import AlphabetMismatchError, CornerError, _excerpt
 from .tableau import Tableau, Word
 
 Trace = tuple[tuple[int, int, int], ...]
+
+_first = itemgetter(0)
 
 
 def _bump_row(rows: list[list[int]], x: int, col_next: tuple[int, ...], trace=None) -> int:
@@ -192,47 +201,107 @@ def _is_corner(rows: list[list[int]], r: int) -> bool:
     return r + 1 == len(rows) or len(rows[r]) > len(rows[r + 1])
 
 
+def _column_cut(rows: list[list[int]], j: int, bound: int, lo: int, hi: int) -> int:
+    """The first 0-based row in lo..hi - 1 that has no cell in column j or
+    holds a letter index at least bound there, else hi.  Entries increase
+    weakly down a column and rows shorten going down, so the rows before
+    it are a prefix and bisection finds it."""
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        row = rows[mid]
+        if len(row) > j and row[j] < bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _bump_col(rows: list[list[int]], x: int, row_next: tuple[int, ...], trace=None) -> int:
     """Column insert letter index x, mutating rows; returns the 0-based row
-    of the cell added at the end of the bumping chain."""
+    of the cell added at the end of the bumping chain.
+
+    The chain moves weakly up as it moves right.  A letter y bumped from
+    row i has rows[i][j + 1] >= row_next[y] on its right, or row i ends
+    there, so column j + 1 bumps it in row i or above.  Each column's row
+    is therefore a bisection over the rows above, and the chain's cells in
+    one row are a stretch: they shift one column right, x entering on the
+    left, in one slice.  The stretch ends at the first column whose letter
+    the row above takes in the next column (that cell is at least its
+    row_next, or the row above ends at this row's length), and the chain
+    moves up; otherwise it runs to the row's end, under a longer row
+    above or in the top row, and the chain ends in this row."""
     j = 0
+    i = bisect_left(rows, row_next[x], key=_first)
     while True:
-        bound = row_next[x]
-        i = 0
-        while i < len(rows) and len(rows[i]) > j and rows[i][j] < bound:
-            i += 1
-        if i == len(rows) or len(rows[i]) == j:
-            # Column j ends above row i, and nothing in it is bumped.
-            if i == len(rows):
-                rows.append([x])
-            else:
-                rows[i].append(x)
+        if i == len(rows):
+            rows.append([x])
             if trace is not None:
-                trace.append((i, j, x))
+                trace.append((i, 0, x))
             return i
-        rows[i][j], x = x, rows[i][j]
+        row = rows[i]
+        n = len(row)
+        c = None
+        if i and j < n:
+            above = rows[i - 1]
+            takes = map(ge, above[j + 1:n + 1], map(row_next.__getitem__, row[j:n]))
+            c = next(compress(count(j), takes), None)
+            if c is None and len(above) == n:
+                c = n - 1
+        if c is None:
+            row.insert(j, x)
+            if trace is not None:
+                trace.extend(zip(repeat(i), range(j, n + 1), row[j:]))
+            return i
+        y = row[c]
+        row[j + 1:c + 1] = row[j:c]
+        row[j] = x
         if trace is not None:
-            trace.append((i, j, rows[i][j]))
-        j += 1
+            trace.extend(zip(repeat(i), range(j, c + 1), row[j:c + 1]))
+        x, j = y, c + 1
+        i = _column_cut(rows, j, row_next[x], 0, i - 1)
 
 
 def _unbump_col(rows: list[list[int]], r: int, col_next: tuple[int, ...]) -> int:
     """Delete the last cell of 0-based row r, the bottom cell of its column,
     mutating rows; returns the ejected letter index.  The caller checks the
-    corner precondition."""
+    corner precondition.
+
+    The chain moves weakly down as it moves left.  A letter y taken from
+    row i has a left neighbour below col_next[y] (b >= row_next[a] exactly
+    when a < col_next[b]), so column c - 1 swaps it in row i or below.
+    Each column's row is therefore a bisection over the rows below, and
+    the chain's cells in one row are a stretch: they shift one column
+    left, the in-hand letter entering on the right, in one slice.  Going
+    left, the stretch ends at the first column whose cell in the row below
+    is under col_next of the letter leaving the next column, and that
+    letter moves down to it; otherwise the letter leaving column 0 is
+    ejected."""
     row = rows[r]
     x = row.pop()
     if not row:
         rows.pop()
-    for c in range(len(row) - 1, -1, -1):
-        bound = col_next[x]
-        i = 0
-        while i < len(rows) and len(rows[i]) > c and rows[i][c] < bound:
-            i += 1
-        if i == 0:
-            break
-        rows[i - 1][c], x = x, rows[i - 1][c]
-    return x
+        return x
+    i, c = -1, len(row) - 1
+    while True:
+        # x swaps with the lowest cell of column c under col_next[x], in
+        # row i or below.  i is -1 at first: rows that the trusted
+        # constructor let in may have no such cell, and then x is ejected.
+        i = _column_cut(rows, c, col_next[x], i + 1, len(rows)) - 1
+        if i < 0:
+            return x
+        row = rows[i]
+        below = rows[i + 1] if i + 1 < len(rows) else ()
+        m = min(c, len(below))
+        t = -1
+        if m:
+            takes = map(lt, reversed(below[:m]), map(col_next.__getitem__, reversed(row[1:m + 1])))
+            t = next(compress(count(m - 1, -1), takes), -1)
+        y = row[t + 1]
+        row[t + 1:c] = row[t + 2:c + 1]
+        row[c] = x
+        if t < 0:
+            return y
+        x, i, c = y, i + 1, t
 
 
 def _insert(tableau: Tableau, x: str, bump, table: tuple[int, ...],

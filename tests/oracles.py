@@ -183,6 +183,28 @@ def _scan_col_insert(rows, x, parities):
         j += 1
 
 
+def _scan_col_delete(rows, r, parities):
+    """Delete the last cell of row r, the bottom cell of its column, from
+    rows and undo column insertion; returns the ejected letter.  In each
+    column further left, the in-hand letter x swaps with the lowest entry
+    less than x (or equal to x, when x has parity 0); a column with no such
+    entry ejects x."""
+    x = rows[r].pop()
+    width = len(rows[r])
+    if not width:
+        rows.pop(r)
+    for j in range(width - 1, -1, -1):
+        column = [row[j] for row in rows if len(row) > j]
+        for i in range(len(column) - 1, -1, -1):
+            y = column[i]
+            if y < x or (y == x and parities[x] == 0):
+                rows[i][j], x = x, y
+                break
+        else:
+            break
+    return x
+
+
 def insertion_tableau(xs, parities):
     """The row-insertion tableau of the letter indices xs, inserted left to
     right by _scan_row_insert, as a tuple of rows.  With all parities 0 this

@@ -5,6 +5,7 @@ symmetry theorem on arrays of hundreds of columns, the symmetry probe on
 random pairs of 4- and 5-letter signatures, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
 oracle's insertion and back, the bumping lemmas on tableaux of up to 100
+cells, column insertion and deletion on hook-shaped tableaux of up to 700
 cells, and Greene's theorem on words of up to 300 letters.
 """
 
@@ -17,7 +18,9 @@ from superplactic import (
     Word,
     check_susy,
     check_tableau,
+    col_delete,
     col_insert,
+    col_insert_trace,
     enumerate_arrays,
     greene_profile,
     has_symmetry,
@@ -30,7 +33,14 @@ from superplactic import (
     validate_array,
 )
 
-from oracles import _scan_col_insert, _scan_row_insert, insertion_tableau, signed_knuth_neighbors, super_rsk
+from oracles import (
+    _scan_col_delete,
+    _scan_col_insert,
+    _scan_row_insert,
+    insertion_tableau,
+    signed_knuth_neighbors,
+    super_rsk,
+)
 
 
 def _alphabet(rng, size, parities=None):
@@ -198,3 +208,36 @@ def test_bumping_lemmas_on_random_tableaux(mode):
             else:
                 assert (i < i2) == follows
                 assert not follows or j >= j2
+
+
+def test_column_bumping_on_long_rows_and_tall_columns():
+    """On hook-shaped tableaux of 200-700 cells, 3-6 letters of which one or
+    two have parity 1, built by the oracle's row and column insertion: column
+    inserting each letter gives the oracle's rows and added cell, and column
+    deleting at each removable corner gives the oracle's rows and letter.
+    The few parity-0 letters make long rows, the parity-1 ones tall columns,
+    so chains cross long stretches of one row and change rows between them."""
+    rng = random.Random(2811)
+    for _ in range(12):
+        size = rng.randint(3, 6)
+        parities = [0] * size
+        for k in rng.sample(range(size), rng.randint(1, 2)):
+            parities[k] = 1
+        alphabet = _alphabet(rng, size, parities)
+        rows = []
+        for _ in range(rng.randint(200, 700)):
+            scan = _scan_row_insert if rng.random() < 0.5 else _scan_col_insert
+            scan(rows, rng.randrange(size), parities)
+        tableau = Tableau(alphabet, rows)
+        for x in range(size):
+            grown, _, trace = col_insert_trace(alphabet.letters[x], tableau)
+            oracle_rows = [list(cells) for cells in rows]
+            i, j = _scan_col_insert(oracle_rows, x, parities)
+            assert (grown.rows, trace[-1][:2]) == (tuple(map(tuple, oracle_rows)), (i + 1, j + 1))
+        for r, row in enumerate(rows):
+            if r + 1 < len(rows) and len(rows[r + 1]) == len(row):
+                continue
+            shrunk, letter = col_delete(tableau, len(row))
+            oracle_rows = [list(cells) for cells in rows]
+            x = _scan_col_delete(oracle_rows, r, parities)
+            assert (shrunk.rows, letter) == (tuple(map(tuple, oracle_rows)), alphabet.letters[x])
