@@ -38,12 +38,13 @@ the letters it bumps, the word the next row receives, so a word enters a
 tableau one row at a time: `ring_product` steps each row of a term, and
 `_insert_row_word` steps a row word down the rows and returns the count of
 cells each 0-based row gained, which is a horizontal strip.
-`_delete_row_strip` takes such counts and returns the ejected letters.
-These give the same rows and letters as one `_bump_row` per letter or one
-`_unbump_row` per cell.  The public functions keep 1-based rows and
-columns: an insertion reports the row (or column) of the cell it adds, and
-a deletion takes a row (or column) index.  Only the `*_trace` insertions
-record the bumping chain.
+`_delete_row_strip` takes such counts and moves the letters in hand up one
+letter at a time; a repeat of a parity-0 letter lands one cell left of the
+one before, with no bisection.  These give the rows and letters of one
+`_bump_row` per letter or, on rows that weakly increase, one `_unbump_row`
+per cell.  The public functions keep 1-based rows and columns: an insertion
+reports the row (or column) of the cell it adds, and a deletion takes a row
+(or column) index.  Only the `*_trace` insertions record the bumping chain.
 
 The module-level functions are pure: they copy the input tableau and return
 fresh objects.
@@ -149,49 +150,46 @@ def _insert_row_word(rows: list[list[int]], xs: list[int], col_next: tuple[int, 
 
 def _delete_row_strip(rows: list[list[int]], counts: list[int], row_next: tuple[int, ...]) -> list[int]:
     """Delete the last counts[r] cells of each 0-based row r, a horizontal
-    strip, mutating rows; returns the ejected letter indices in the order
-    of one `_unbump_row` per cell, top row first and right to left in a row.
+    strip, mutating rows; returns the ejected letter indices.  On rows that
+    weakly increase, these are the rows and letters of one `_unbump_row`
+    per cell, top row first and right to left in a row.
 
     Works from the lowest row up: each row pops its own cells, right to
-    left, then swaps the letters arriving from below in their order, one
-    slice per run of equal parity-0 letters.  A letter that finds nothing
-    to swap with leaves the deletion, as in `_unbump_row`; it travels up as
-    ~x, which no row touches, so it keeps its place in the order."""
+    left, then swaps each letter x arriving from below with its rightmost
+    entry below row_next[x].  A letter that finds none leaves the deletion
+    as ~x, which no row touches, so it keeps its place in the order and
+    ends a run of repeated letters."""
     hand: list[int] = []
     left = False
     for h in range(len(counts) - 1, -1, -1):
         row = rows[h]
         c = counts[h]
+        if not (c or hand):
+            continue
+        out = row[:-c - 1:-1]  # empty when c is 0
         if c:
-            out = row[:-c - 1:-1]
             del row[-c:]
             if not row:
                 assert h == len(rows) - 1
                 rows.pop()
-        elif not hand:
-            continue
-        else:
-            out = []
-        t = 0
-        while t < len(hand):
-            x = hand[t]
-            k = t + 1
+        last = -1
+        for x in hand:
             if x < 0:
                 out.append(x)
-                t = k
+                last = -1
                 continue
-            bound = row_next[x]
-            if bound == x:  # parity 0
-                while k < len(hand) and hand[k] == x:
-                    k += 1
-            j = bisect_left(row, bound)
-            m = min(k - t, j)
-            out += row[j - m:j][::-1]
-            row[j - m:j] = hand[t:t + m]
-            if m < k - t:
+            if x == last:
+                j -= 1
+            else:
+                bound = row_next[x]
+                j = bisect_left(row, bound) - 1
+                last = x if bound == x else -1
+            if j < 0:
                 left = True
-                out += [~x] * (k - t - m)
-            t = k
+                out.append(~x)
+            else:
+                out.append(row[j])
+                row[j] = x
         hand = out
     return [~x if x < 0 else x for x in hand] if left else hand
 

@@ -629,9 +629,9 @@ def symmetry_probe(
     then read from the successor table; placing a letter at the end of a
     row of an interned U or U2 is placed and checked by `_check_cell`
     once, when first met, and then read from the placement memo.  So each
-    distinct step of U is checked exactly once.  A new column's letters
-    are checked before any table is read.  The memo holds each distinct
-    tableau once per alphabet, with its steps, and is dropped on return.
+    distinct step of U is checked exactly once.  The memo holds each
+    distinct tableau once per alphabet, with its steps, and is dropped on
+    return.
 
     An array's new column (a, b) has the largest bottom letter so far, so
     in the involuted order, top letter first, it follows every column with
@@ -677,26 +677,22 @@ def symmetry_probe(
     report = ProbeReport(max_cols=max_cols)
     counts = report.counts
     examples = report.examples
-    total = 0
     # stack[d] holds, for the first d columns of the array in hand, the
     # forward state (T id, U id), how many columns have pair parity 1, the
     # involuted slots of each top letter, and the checkpoints.
-    stack: list[tuple[int, int, int, tuple[tuple[int, ...], ...], list[tuple[int, int]]]] = []
+    stack: list[tuple[int, int, int, tuple[tuple[int, ...], ...], list[tuple[int, int]]]] = [
+        (0, 0, 0, ((),) * m, [(0, 0)] * m)]
+    t = u = odd = t2 = u2 = 0
     tops: list[str] = []
     bottoms: list[str] = []
     for cols in walk:
-        total += 1
         # The walk kept the first len(cols) - 1 columns, so that prefix's
         # states are on the stack: step them by the last column.
         depth = len(cols)
-        del stack[depth:]
-        if stack:
+        if depth:
+            del stack[depth:]
             t, u, odd, blocks, cps = stack[-1]
             a, b = cols[-1]
-            if not (isinstance(a, int) and 0 <= a < m):
-                raise ForeignLetterError("letter index %s out of range" % _excerpt(a))
-            if not (isinstance(b, int) and 0 <= b < n):
-                raise ForeignLetterError("letter index %s out of range" % _excerpt(b))
             odd += par[b * m + a]
             slot = 2 * a + ppar[b]
             t, r = fsucc[t][slot] or fstep(t, slot)
@@ -721,9 +717,6 @@ def symmetry_probe(
             del tops[depth - 1:], bottoms[depth - 1:]
             tops.append(top_letters[a])
             bottoms.append(bottom_letters[b])
-        else:
-            t, u, odd, t2, u2 = 0, 0, 0, 0, 0
-            stack.append((t, u, odd, ((),) * m, [(t2, u2)] * m))
         hyp = aligned and odd == 0
         sym = t2 == u and u2 == t
         cell = (hyp, sym)
@@ -732,7 +725,7 @@ def symmetry_probe(
             examples[cell].append(TwoRowedArray(top_alphabet, bottom_alphabet, cols))
         if sink is not None:
             sink({"top": tops[:], "bottom": bottoms[:], "hypothesis": hyp, "symmetric": sym})
-    report.total = total
+    report.total = sum(counts.values())
     return report
 
 

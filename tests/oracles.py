@@ -183,6 +183,26 @@ def _scan_col_insert(rows, x, parities):
         j += 1
 
 
+def _scan_row_delete(rows, r, parities):
+    """Delete the last cell of row r from rows and undo row insertion;
+    returns the ejected letter.  In each higher row, the in-hand letter x
+    swaps with the rightmost entry less than x (or equal to x, when x has
+    parity 1); a row with no such entry ejects x."""
+    x = rows[r].pop()
+    if not rows[r]:
+        rows.pop(r)
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        for j in range(len(row) - 1, -1, -1):
+            y = row[j]
+            if y < x or (y == x and parities[x] == 1):
+                row[j], x = x, y
+                break
+        else:
+            break
+    return x
+
+
 def _scan_col_delete(rows, r, parities):
     """Delete the last cell of row r, the bottom cell of its column, from
     rows and undo column insertion; returns the ejected letter.  In each

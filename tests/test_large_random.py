@@ -5,8 +5,9 @@ symmetry theorem on arrays of hundreds of columns, the symmetry probe on
 random pairs of 4- and 5-letter signatures, Knuth moves keeping the
 tableau of words of up to 120 letters, the correspondence against the
 oracle's insertion and back, the bumping lemmas on tableaux of up to 100
-cells, column insertion and deletion on hook-shaped tableaux of up to 700
-cells, and Greene's theorem on words of up to 300 letters.
+cells, column insertion and deletion and row deletion on hook-shaped
+tableaux of up to 700 cells, and Greene's theorem on words of up to 300
+letters.
 """
 
 import random
@@ -25,6 +26,7 @@ from superplactic import (
     greene_profile,
     has_symmetry,
     make_alphabet,
+    row_delete,
     row_insert,
     rsk_forward,
     rsk_inverse,
@@ -32,10 +34,12 @@ from superplactic import (
     tableau_of_word,
     validate_array,
 )
+from superplactic.bumping import _delete_row_strip
 
 from oracles import (
     _scan_col_delete,
     _scan_col_insert,
+    _scan_row_delete,
     _scan_row_insert,
     insertion_tableau,
     signed_knuth_neighbors,
@@ -210,6 +214,23 @@ def test_bumping_lemmas_on_random_tableaux(mode):
                 assert not follows or j >= j2
 
 
+def _hook_rows(rng):
+    """3-6 letters, one or two of them of parity 1, and the rows of a
+    tableau of 200-700 of them built by the oracle's row and column
+    insertion: a hook shape whose few parity-0 letters make long rows and
+    whose parity-1 ones make tall columns."""
+    size = rng.randint(3, 6)
+    parities = [0] * size
+    for k in rng.sample(range(size), rng.randint(1, 2)):
+        parities[k] = 1
+    alphabet = _alphabet(rng, size, parities)
+    rows = []
+    for _ in range(rng.randint(200, 700)):
+        scan = _scan_row_insert if rng.random() < 0.5 else _scan_col_insert
+        scan(rows, rng.randrange(size), parities)
+    return alphabet, rows
+
+
 def test_column_bumping_on_long_rows_and_tall_columns():
     """On hook-shaped tableaux of 200-700 cells, 3-6 letters of which one or
     two have parity 1, built by the oracle's row and column insertion: column
@@ -219,17 +240,10 @@ def test_column_bumping_on_long_rows_and_tall_columns():
     so chains cross long stretches of one row and change rows between them."""
     rng = random.Random(2811)
     for _ in range(12):
-        size = rng.randint(3, 6)
-        parities = [0] * size
-        for k in rng.sample(range(size), rng.randint(1, 2)):
-            parities[k] = 1
-        alphabet = _alphabet(rng, size, parities)
-        rows = []
-        for _ in range(rng.randint(200, 700)):
-            scan = _scan_row_insert if rng.random() < 0.5 else _scan_col_insert
-            scan(rows, rng.randrange(size), parities)
+        alphabet, rows = _hook_rows(rng)
+        parities = alphabet.parities
         tableau = Tableau(alphabet, rows)
-        for x in range(size):
+        for x in range(len(alphabet)):
             grown, _, trace = col_insert_trace(alphabet.letters[x], tableau)
             oracle_rows = [list(cells) for cells in rows]
             i, j = _scan_col_insert(oracle_rows, x, parities)
@@ -241,3 +255,34 @@ def test_column_bumping_on_long_rows_and_tall_columns():
             oracle_rows = [list(cells) for cells in rows]
             x = _scan_col_delete(oracle_rows, r, parities)
             assert (shrunk.rows, letter) == (tuple(map(tuple, oracle_rows)), alphabet.letters[x])
+
+
+def test_row_deletion_on_long_rows_and_tall_columns():
+    """On hook-shaped tableaux of 200-700 cells from `_hook_rows`: row deleting
+    at each removable corner gives the oracle's rows and letter, and
+    deleting a random horizontal strip in one `_delete_row_strip` gives the
+    rows and letters of one oracle row deletion per cell, top row first and
+    right to left in a row.  The long rows of few letters hand runs of
+    equal letters up from row to row."""
+    rng = random.Random(2903)
+    for _ in range(16):
+        alphabet, rows = _hook_rows(rng)
+        parities = alphabet.parities
+        tableau = Tableau(alphabet, rows)
+        lengths = [len(row) for row in rows] + [0]
+        for r in range(len(rows)):
+            if lengths[r] > lengths[r + 1]:
+                shrunk, letter = row_delete(tableau, r + 1)
+                oracle_rows = [list(cells) for cells in rows]
+                x = _scan_row_delete(oracle_rows, r, parities)
+                assert (shrunk.rows, letter) == (tuple(map(tuple, oracle_rows)), alphabet.letters[x])
+        for _ in range(25):
+            counts = [rng.randint(0, lengths[r] - lengths[r + 1]) for r in range(len(rows))]
+            if not any(counts):
+                counts[-1] = 1
+            strip_rows = [list(cells) for cells in rows]
+            letters = _delete_row_strip(strip_rows, counts, alphabet.row_next)
+            oracle_rows = [list(cells) for cells in rows]
+            expected = [_scan_row_delete(oracle_rows, r, parities)
+                        for r, c in enumerate(counts) for _ in range(c)]
+            assert (strip_rows, letters) == (oracle_rows, expected)

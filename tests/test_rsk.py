@@ -576,12 +576,23 @@ class TestEnumerateArrays:
         assert sum(1 for _ in enumerate_arrays(o1, o1, 2)) == 3
         assert sum(1 for _ in enumerate_arrays(e1, o1, 2)) == 2
 
-    def test_every_array_revalidates(self, mixed2, mixed3):
-        arrays = list(enumerate_arrays(mixed3, mixed2, 3))
-        for arr in arrays:
-            cols = list(zip(arr.top_symbols, arr.bottom_symbols))
-            assert validate_array(cols, mixed3, mixed2).pairs == arr.pairs
-        assert len({a.pairs for a in arrays}) == len(arrays)
+    def test_every_array_revalidates(self):
+        """Every column the walk makes re-validates through its symbols, over
+        every pair of 1-3-letter signatures: its letters are ints in range.
+        `symmetry_probe` steps its memo on the walk's letters unchecked."""
+        signatures = [sig for k in (1, 2, 3) for sig in all_signatures(k)]
+        total = 0
+        for top_sig, bottom_sig in itertools.product(signatures, repeat=2):
+            top = make_alphabet(["1", "2", "3"][:len(top_sig)], top_sig)
+            bottom = make_alphabet(["x", "y", "z"][:len(bottom_sig)], bottom_sig)
+            arrays = list(enumerate_arrays(top, bottom, 3))
+            for arr in arrays:
+                assert all(type(a) is type(b) is int for a, b in arr.pairs)
+                cols = list(zip(arr.top_symbols, arr.bottom_symbols))
+                assert validate_array(cols, top, bottom).pairs == arr.pairs
+            assert len({a.pairs for a in arrays}) == len(arrays)
+            total += len(arrays)
+        assert total == 16204
 
     def test_deterministic(self, mixed2):
         first = [a.pairs for a in enumerate_arrays(mixed2, mixed2, 3)]
@@ -846,21 +857,15 @@ class TestProbe:
         assert (forward_rows[-1].locals["pairs"] is single_array.pairs) == (side == "forward")
 
     @pytest.mark.parametrize("letter", [-1, 2, 0.0, [0], None])
-    def test_probe_checks_letters_before_its_memo(self, monkeypatch, letter):
-        """A new column's letters are checked before the probe reads its
-        step memo: the array before the faulty one fills the memo's slot
-        for letter 0, which a float 0.0 would otherwise read, and a list
-        would fail to index.  The faulty letter is tried on top and on
-        bottom; both raise the message `_forward_rows` gives."""
+    def test_probe_checks_letters_before_its_memo(self, letter):
+        """A column's letters are checked in `_forward_rows` before they are
+        bumped, so a faulty one raises the domain error, not an error from
+        inside the bump or, for -1, a silent read from the end of a table.
+        The faulty letter is tried on top and on bottom of a trusted array.
+        The probe checks none itself: its letters come from `_column_walk`,
+        and `test_every_array_revalidates` shows those are ints in range."""
         alphabet = make_alphabet(["1", "2"], [0, 1])
         for column in ((letter, 0), (0, letter)):
-            prefixes = [[], [(0, 0)], [column]]
-            monkeypatch.setattr(superplactic.rsk, "_column_walk",
-                                lambda top, bottom, max_cols: iter(prefixes))
-            records = []
-            with pytest.raises(ForeignLetterError, match=r"letter index %s out of range" % re.escape(str(letter))):
-                symmetry_probe(alphabet, alphabet, 1, sink=records.append)
-            assert len(records) == 2
             with pytest.raises(ForeignLetterError, match=r"letter index %s out of range" % re.escape(str(letter))):
                 has_symmetry(TwoRowedArray(alphabet, alphabet, [column]))
 
