@@ -142,7 +142,7 @@ class TestDeletionStopsAndEjects:
 
 
 class TestInverses:
-    def test_row_insert_then_delete(self, mixed4):
+    def test_row_insert_then_delete(self, mixed3, mixed4):
         for t in small_tableaux(mixed4, 5):
             for x in mixed4.letters:
                 t1, i = row_insert(t, x)
@@ -150,8 +150,14 @@ class TestInverses:
                 back, y = row_delete(t1, i)
                 assert back == t
                 assert y == x
+        # over 1,2,3 with parities 0,1,0, 1 bumps 2 from (1,3), then 2 from
+        # (2,1), since the parity-1 2 bumps an equal 2, then 3 from (3,1)
+        t = validate([["1", "1", "2", "3", "3", "3"], ["2", "3", "3"], ["3"]], mixed3)
+        t1, i = row_insert(t, "1")
+        assert (i, t1.symbol_rows()) == (4, (("1", "1", "1", "3", "3", "3"), ("2", "3", "3"), ("2",), ("3",)))
+        assert row_delete(t1, i) == (t, "1")
 
-    def test_col_insert_then_delete(self, mixed4):
+    def test_col_insert_then_delete(self, mixed3, mixed4):
         for t in small_tableaux(mixed4, 5):
             for x in mixed4.letters:
                 t1, j = col_insert(x, t)
@@ -159,6 +165,17 @@ class TestInverses:
                 back, y = col_delete(t1, j)
                 assert back == t
                 assert y == x
+        # over 1,2,3 with parities 0,1,0: 3 ends at row 2, column 2; under a
+        # first row of 10 cells, 2 shifts all of row 2 right, moves up at
+        # column 6 and ends at row 1, column 11
+        for rows, x, j, grown in (
+            ([["1", "1"], ["3"]], "3", 2, (("1", "1"), ("3", "3"))),
+            ([["1"] * 5 + ["3"] * 5, ["3"] * 5], "2", 11, (("1",) * 5 + ("3",) * 6, ("2",) + ("3",) * 4)),
+        ):
+            t = validate(rows, mixed3)
+            t1, j1 = col_insert(x, t)
+            assert (j1, t1.symbol_rows()) == (j, grown)
+            assert col_delete(t1, j) == (t, x)
 
     def test_delete_then_insert(self, mixed4):
         for t in small_tableaux(mixed4, 5):
@@ -427,6 +444,13 @@ class TestRowWordGrowth:
             assert _delete_row_strip(rows, counts, alphabet.row_next) == ejected
             assert rows == one
         assert left > 50, left
+        # Rows that do not increase, which the trusted constructor also lets
+        # in: row 1 hands up 1, ~0, 1.  The ejected ~0 ends the run of 1s, so
+        # the second 1 bisects row 0 afresh and finds nothing, where landing
+        # one cell left of the first 1 would swap it for the 2.
+        rows = [[2, 0, 1], [0, 1, 1], [2, 0]]
+        assert _delete_row_strip(rows, [0, 1, 2], make_alphabet("abc", [0, 0, 0]).row_next) == [0, 0, 1]
+        assert rows == [[2, 1, 1], [0, 2]]
 
 
 @st.composite

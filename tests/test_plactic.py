@@ -322,14 +322,22 @@ class TestGreene:
                 assert greene_via_shape(w, k, "row") == sum(lam[:k])
                 assert greene_via_shape(w, k, "col") == sum(conj[:k])
 
-    def test_invariant_across_class(self, mixed4):
-        for symbols in (("2", "1", "3", "3"), ("3", "4", "1", "2"), ("4", "3", "2", "1")):
-            w = Word(mixed4, symbols)
+    def test_invariant_across_class(self, mixed3, mixed4):
+        """The last word, 3,1,2,2,3 with parities 0,1,0, has shape 3,1,1, its
+        own conjugate: l_2 is 4 both ways, and its class holds the 6 standard
+        fillings of 3,1,1, with canonical word 3,2,1,2,3."""
+        for alphabet, symbols in ((mixed4, "2133"), (mixed4, "3412"), (mixed4, "4321"), (mixed3, "31223")):
+            w = Word(alphabet, symbols)
+            cls = plactic_class(w)
             profiles = {
                 (greene_profile(v, 3, "row"), greene_profile(v, 3, "col"))
-                for v in plactic_class(w)
+                for v in cls
             }
             assert len(profiles) == 1
+        assert profiles == {((3, 4, 5), (3, 4, 5))}
+        assert greene_row(w, 2) == greene_col(w, 2) == 4
+        assert len(cls) == 6
+        assert canonical_word(w).symbols == ("3", "2", "1", "2", "3")
 
 
 @st.composite

@@ -286,6 +286,10 @@ class TestIndexRows:
 
 class TestPieri:
     def test_row_and_column_mode_pass(self, mixed3):
+        counts = {
+            "row": {(2, 2, 1): 4, (3, 1, 1): 12, (3, 2): 8, (4, 1): 16},
+            "col": {(2, 1, 1, 1): 8, (2, 2, 1): 4, (3, 1, 1): 12, (3, 2): 8},
+        }
         for mode in ("row", "col"):
             report = pieri_check((2, 1), 2, mixed3, mode=mode)
             assert report.equal is True
@@ -295,6 +299,7 @@ class TestPieri:
             assert report.mismatches() == ()
             for _, left, right in report.by_shape:
                 assert left == right
+            assert {shape: left for shape, left, _ in report.by_shape} == counts[mode]
 
     def test_candidate_shapes_are_strips(self, mixed3):
         report = pieri_check((2, 1), 2, mixed3, mode="row")
@@ -386,11 +391,16 @@ class TestPieri:
 
 
 class TestLittlewoodRichardson:
-    def test_oracle_classical_values(self):
+    def test_oracle_classical_values(self, mixed3):
         assert lr_coefficients((2, 1), (2, 1))[(3, 2, 1)] == 2
         assert lr_coefficients((1,), (1,)) == {(2,): 1, (1, 1): 1}
         assert lr_coefficients((2, 1), ()) == {(2, 1): 1}
         assert lr_coefficients((1, 1), (2,)) == {(3, 1): 1, (2, 1, 1): 1}
+        # the ring over three letters, shapes of four rows included:
+        # s_21 * s_21 = s_42 + s_411 + s_33 + 2 s_321 + s_3111 + s_222 + s_2211
+        s = {mu: s_lambda(mu, mixed3) for mu in partitions(6)}
+        assert ring_product(s_lambda((2, 1), mixed3), s_lambda((2, 1), mixed3)) == (
+            s[4, 2] + s[4, 1, 1] + s[3, 3] + s[3, 2, 1] + s[3, 2, 1] + s[3, 1, 1, 1] + s[2, 2, 2] + s[2, 2, 1, 1])
 
     def test_oracle_dimension_count(self):
         """Sum over mu of c^mu_{lam nu} f^mu is C(|lam| + |nu|, |lam|) f^lam f^nu,

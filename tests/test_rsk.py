@@ -638,6 +638,21 @@ class TestProbe:
         assert report.counts[(False, False)] == 0
         for record in rows:
             assert set(record) == {"top", "bottom", "hypothesis", "symmetric"}
+        # Four more pairs, with their counts (hypothesis_asymmetric,
+        # hypothesis_symmetric, unrestricted_asymmetric, unrestricted_symmetric)
+        # and one record per array: 180, 501, and 129 twice.  Over the aligned
+        # pair 0,0,1 / 0,0,1 no array that meets the hypotheses is asymmetric;
+        # the involution gives a 2-letter and a 3-letter signature one census
+        # both ways round.
+        for top, bottom, max_cols, counts in (((0, 1, 0), (0, 1, 0), 3, (0, 0, 52, 128)),
+                                              ((0, 0, 1), (0, 0, 1), 4, (0, 126, 192, 183)),
+                                              ((0, 1), (0, 1, 0), 4, (0, 0, 40, 89)),
+                                              ((0, 1, 0), (0, 1), 4, (0, 0, 40, 89))):
+            rows = []
+            report = symmetry_probe(make_alphabet("abc"[:len(top)], top), make_alphabet("abc"[:len(bottom)], bottom),
+                                    max_cols, sink=rows.append)
+            assert tuple(report.counts[hyp, sym] for hyp in (True, False) for sym in (False, True)) == counts
+            assert report.total == len(rows) == sum(counts)
 
     def test_json_structure(self, mixed2):
         obj = symmetry_probe(mixed2, mixed2, 2).to_json_obj()
@@ -856,30 +871,24 @@ class TestProbe:
         forward_rows = [entry for entry in single.traceback if entry.name == "_forward_rows"]
         assert (forward_rows[-1].locals["pairs"] is single_array.pairs) == (side == "forward")
 
-    @pytest.mark.parametrize("letter", [-1, 2, 0.0, [0], None])
-    def test_probe_checks_letters_before_its_memo(self, letter):
-        """A column's letters are checked in `_forward_rows` before they are
-        bumped, so a faulty one raises the domain error, not an error from
-        inside the bump or, for -1, a silent read from the end of a table.
-        The faulty letter is tried on top and on bottom of a trusted array.
-        The probe checks none itself: its letters come from `_column_walk`,
-        and `test_every_array_revalidates` shows those are ints in range."""
-        alphabet = make_alphabet(["1", "2"], [0, 1])
-        for column in ((letter, 0), (0, letter)):
-            with pytest.raises(ForeignLetterError, match=r"letter index %s out of range" % re.escape(str(letter))):
-                has_symmetry(TwoRowedArray(alphabet, alphabet, [column]))
-
     def test_top_letters_are_checked(self):
         """A top letter outside the top alphabet raises ForeignLetterError
         before its column is bumped, on the forward side, in rsk_forward and
-        in has_symmetry alike.  Columns are checked in order, so a foreign
-        bottom letter in an earlier column raises first."""
+        in has_symmetry alike: the domain error, not an error from inside
+        the bump or, for -1, a silent read from the end of a table.  Columns
+        are checked in order, so a foreign bottom letter in an earlier
+        column raises first.  A trusted array may hold any object as a
+        letter, on top or on bottom; the probe checks none itself, as its
+        letters come from `_column_walk`, and `test_every_array_revalidates`
+        shows those are ints in range."""
         a = make_alphabet(["1", "2"], [0, 0])
-        for pairs, letter in (([(5, 0)], 5), ([(-1, 0)], -1), ([(0, 0), (5, 0)], 5), ([(0.5, 0)], 0.5),
-                              ([(0, 7), (5, 0)], 7)):
+        cases = [([(5, 0)], 5), ([(-1, 0)], -1), ([(0, 0), (5, 0)], 5), ([(0.5, 0)], 0.5), ([(0, 7), (5, 0)], 7)]
+        for letter in (-1, 2, 0.0, [0], None):
+            cases += [([(letter, 0)], letter), ([(0, letter)], letter)]
+        for pairs, letter in cases:
             array = TwoRowedArray(a, a, pairs)
             for run in (rsk_forward, has_symmetry):
-                with pytest.raises(ForeignLetterError, match="letter index %s out of range" % letter) as exc:
+                with pytest.raises(ForeignLetterError, match="letter index %s out of range" % re.escape(str(letter))) as exc:
                     run(array)
                 check = exc.traceback[-1]
                 assert check.name == "_forward_rows"
