@@ -24,9 +24,10 @@ class of a word remembers its shape.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
 from .bumping import tableau_of_word
 from .errors import AlphabetMismatchError, _bound_error, _require_int, _require_mode, _require_setting
@@ -177,6 +178,61 @@ class PlacticClass:
         return tableau_of_word(self.canonical)
 
 
+def _packing(pattern: tuple[int, ...], k_eff: int) -> tuple[int, int, list[int], list[tuple[int, int, int]]]:
+    """The packed states of `greene_profile` over present letters whose
+    repeat bits (1 where a subword may repeat the letter) are `pattern`,
+    with at most k_eff subwords.
+
+    Returns top, the shift of the subword count; cap, the first state
+    with k_eff subwords; owner, the unit of the field holding each bit
+    below top; and moves, for each rank r, the letter's own unit, a new
+    subword ending at it, and the mask of the fields it can extend.
+    """
+    n = len(pattern)
+    w = k_eff.bit_length()
+    top = n * w
+    unit = [1 << (f * w) for f in range(n + 1)]  # unit[n] counts one subword
+    owner = [unit[i // w] for i in range(top)]
+    moves = [(unit[r], unit[n] + unit[r], unit[r + e] - 1) for r, e in enumerate(pattern)]
+    return top, k_eff << top, owner, moves
+
+
+# The most entries, n * C(n + k_eff, k_eff), of a shared transition table,
+# and the most tables kept.  A table at the bound holds about 0.6 MB for one
+# letter, 0.2 MB for two and less for more.
+_TABLE_ENTRIES = 1 << 13
+_TABLES = 32
+
+
+@lru_cache(maxsize=_TABLES)
+def _transitions(pattern: tuple[int, ...], k_eff: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Every packed state reachable from the empty one, numbered 0, 1, ...
+    in breadth-first order, with its successors: succ[r][i] is the number
+    of the state that taking the letter of rank r leads to from state i,
+    or -1 where the letter can neither extend nor start a subword, and
+    chains[i] is the number of subwords of state i."""
+    top, cap, owner, moves = _packing(pattern, k_eff)
+    ids = {0: 0}
+    order = [0]
+    succ = [[] for _ in moves]
+    for s in order:  # grows while it is read
+        for row, (ux, grow, below) in zip(succ, moves):
+            m = (s & below).bit_length()
+            if m:
+                t = s - owner[m - 1] + ux
+            elif s < cap:
+                t = s + grow
+            else:
+                row.append(-1)
+                continue
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(order)
+                order.append(t)
+            row.append(i)
+    return tuple(map(tuple, succ)), tuple(s >> top for s in order)
+
+
 def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]:
     """Exact Greene invariants (l_1, ..., l_max_k) in one sweep.
 
@@ -212,9 +268,18 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     subwords ending at it (never more than k_eff, so the field cannot
     overflow), and the number of subwords sits in the bits above every
     field.  The r-th smallest letter owns field r, so the ends that x can
-    extend fill the fields below one limit, and the end to replace is the
-    one that holds the highest set bit below that limit: one bit_length
-    finds it.
+    extend fill the fields below one limit, r + 1 when a subword may repeat
+    x and r otherwise, and the end to replace is the one that holds the
+    highest set bit below that limit: one bit_length finds it.
+
+    So a state's successor depends only on the state, the rank of x, and
+    which present letters a subword may repeat.  Where the states are few,
+    n * C(n + k_eff, k_eff) entries at most, the sweep steps through a
+    table of the successors of every reachable state, built once for that
+    repeat pattern and k_eff and shared by every later word with the same
+    one.  Above that size it works on the packed ints directly, and builds
+    no table.  Either way a sweep holds at most C(n + k_eff, k_eff)
+    states, and greene_profile has no length bound of its own.
     """
     _require_mode(mode)
     _require_int("max_k", max_k, 0)
@@ -223,36 +288,45 @@ def greene_profile(word: Word, max_k: int, mode: str = "row") -> tuple[int, ...]
     present = sorted(set(letters))
     n = len(present)
     k_eff = min(max_k, len(word))
-    w = k_eff.bit_length()
-    top = n * w
-    unit = [1 << (f * w) for f in range(n + 1)]  # unit[n] counts one subword
-    owner = [unit[i // w] for i in range(top)]  # the unit of the field holding bit i
-    # per letter: its own unit, a new subword ending at it, and the fields it can extend
-    steps = {}
-    for r, x in enumerate(present):
-        j = bisect_left(present, accepts[x])  # the present letters below accepts[x]
-        steps[x] = (unit[r], unit[n] + unit[r], unit[j] - 1)
-    cap = k_eff << top
+    pattern = tuple([accepts[x] - x for x in present])  # 1 where a subword may repeat x
     states = {0: 0}
-    for x in letters:
-        ux, grow, below = steps[x]
-        new = dict(states)
+    best = [0] * (k_eff + 1)  # best[k]: the best total over exactly k subwords
+    if n * comb(n + k_eff, k_eff) <= _TABLE_ENTRIES:
+        succ, chains = _transitions(pattern, k_eff)
+        steps = dict(zip(present, succ))
+        for x in letters:
+            tx = steps[x]
+            new = dict(states)
+            for s, total in states.items():
+                t = tx[s]
+                if t >= 0 and new.get(t, -1) <= total:
+                    new[t] = total + 1
+            states = new
         for s, total in states.items():
-            m = (s & below).bit_length()
-            if m:
-                key = s - owner[m - 1] + ux
-            elif s < cap:
-                key = s + grow
-            else:
-                continue
-            if new.get(key, -1) <= total:
-                new[key] = total + 1
-        states = new
-    best = [0] * (k_eff + 1)
-    for s, total in states.items():
-        k = s >> top
-        if total > best[k]:
-            best[k] = total
+            k = chains[s]
+            if total > best[k]:
+                best[k] = total
+    else:
+        top, cap, owner, moves = _packing(pattern, k_eff)
+        steps = dict(zip(present, moves))
+        for x in letters:
+            ux, grow, below = steps[x]
+            new = dict(states)
+            for s, total in states.items():
+                m = (s & below).bit_length()
+                if m:
+                    key = s - owner[m - 1] + ux
+                elif s < cap:
+                    key = s + grow
+                else:
+                    continue
+                if new.get(key, -1) <= total:
+                    new[key] = total + 1
+            states = new
+        for s, total in states.items():
+            k = s >> top
+            if total > best[k]:
+                best[k] = total
     run = tuple(accumulate(best, max))  # run[k]: the best total over at most k subwords
     return run[1:] + run[-1:] * (max_k - k_eff)
 

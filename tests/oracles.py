@@ -225,6 +225,14 @@ def _scan_col_delete(rows, r, parities):
     return x
 
 
+def columns_clash(first, second, top_parities, bottom_parities):
+    """Whether two columns (a, b) and (a', b') of an array, as letter
+    indices, clash: a != a', b != b', and the larger of a and a' and the
+    larger of b and b' have different parities."""
+    (a, b), (a2, b2) = first, second
+    return a != a2 and b != b2 and top_parities[max(a, a2)] != bottom_parities[max(b, b2)]
+
+
 def insertion_tableau(xs, parities):
     """The row-insertion tableau of the letter indices xs, inserted left to
     right by _scan_row_insert, as a tuple of rows.  With all parities 0 this

@@ -1,5 +1,6 @@
 import os
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -26,15 +27,33 @@ from superplactic import (
     word_of,
     z2_degree,
 )
-from superplactic.plactic import MAX_STATES_ENV
+from superplactic.plactic import MAX_STATES_ENV, _TABLE_ENTRIES, _transitions
 
 from oracles import (
     all_signatures,
     classical_knuth_neighbors,
     greene_family_max,
+    insertion_tableau,
     signed_knuth_neighbors,
     words_over,
 )
+
+
+def shape_sums(word, k, mode):
+    """(l_1, ..., l_k) read off the shape of the oracle insertion tableau."""
+    lam = tuple(map(len, insertion_tableau(word.letters, word.alphabet.parities)))
+    if mode == "col":
+        lam = conjugate_partition(lam)
+    return tuple(sum(lam[:j]) for j in range(1, k + 1))
+
+
+def word_with_every_letter(rng, parities, length):
+    """A seeded word of the given length that holds every letter at least once."""
+    n = len(parities)
+    alphabet = make_alphabet([str(i + 1) for i in range(n)], list(parities))
+    xs = list(range(n)) + [rng.randrange(n) for _ in range(length - n)]
+    rng.shuffle(xs)
+    return Word.from_indices(alphabet, xs)
 
 
 def knuth_closure(word):
@@ -269,6 +288,41 @@ class TestGreene:
                 w = Word.from_indices(alphabet, [x] * max_k)
                 mode = "row" if parity == 1 else "col"
                 assert greene_profile(w, max_k, mode) == tuple(range(1, max_k + 1)), (sig, x)
+
+    @pytest.mark.parametrize("mode", ["row", "col"])
+    def test_every_repeat_pattern_steps_through_its_table(self, mode):
+        """Every pattern of which of 1-5 present letters a subword may repeat
+        (parity 0 in row mode, parity 1 in column mode), at each max_k from 1
+        to 8 whose table is within the bound: each call looks up one table."""
+        rng = random.Random(31)
+        for n in range(1, 6):
+            for pattern in all_signatures(n):
+                parities = [1 - e if mode == "row" else e for e in pattern]
+                w = word_with_every_letter(rng, parities, rng.randint(8, 12))
+                for max_k in range(1, 9):
+                    if n * comb(n + max_k, max_k) > _TABLE_ENTRIES:
+                        continue
+                    info = _transitions.cache_info()
+                    assert greene_profile(w, max_k, mode) == shape_sums(w, max_k, mode), (pattern, w, max_k)
+                    after = _transitions.cache_info()
+                    assert after.hits + after.misses == info.hits + info.misses + 1
+
+    def test_table_bound_selects_the_path(self):
+        """At k = 3 the most present letters whose table is within the bound
+        get one, built once; one letter more is stepped on packed states,
+        and builds none."""
+        n = max(n for n in range(1, 64) if n * comb(n + 3, 3) <= _TABLE_ENTRIES)
+        rng = random.Random(3)
+        under, over = (word_with_every_letter(rng, [rng.randint(0, 1) for _ in range(m)], m + 5)
+                       for m in (n, n + 1))
+        _transitions.cache_clear()
+        for mode in ("row", "col"):
+            assert greene_profile(over, 3, mode) == shape_sums(over, 3, mode), mode
+            assert _transitions.cache_info().misses == 0
+        assert greene_profile(under, 3, "row") == shape_sums(under, 3, "row")
+        assert _transitions.cache_info().misses == 1
+        assert greene_profile(under, 3, "row") == shape_sums(under, 3, "row")
+        assert _transitions.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_profile_weakly_increasing_and_capped(self, mixed4):
         for xs in words_over(mixed4, 4):

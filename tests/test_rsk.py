@@ -45,7 +45,7 @@ from superplactic import (
     word_to_array,
 )
 
-from oracles import all_signatures, super_rsk
+from oracles import all_signatures, columns_clash, super_rsk
 
 
 WORKED_COLUMNS = [
@@ -474,6 +474,28 @@ class TestInvolution:
     def test_all_even_alphabets_always_symmetric(self, evens2):
         for arr in enumerate_arrays(evens2, evens2, 3):
             assert has_symmetry(arr)
+
+    def test_two_columns_are_asymmetric_exactly_when_they_clash(self):
+        """Rule 2C on every two-column array over every pair of 1-3-letter
+        signatures: columns in bottom-major order, equal only at pair
+        parity 0, as enumerate_arrays lists them."""
+        alphabets = [make_alphabet([str(i + 1) for i in range(k)], sig)
+                     for k in (1, 2, 3) for sig in all_signatures(k)]
+        arrays = asymmetric = 0
+        for top in alphabets:
+            lp = top.parities
+            for bottom in alphabets:
+                pp = bottom.parities
+                cols = sorted(((a, b) for a in range(len(lp)) for b in range(len(pp))), key=lambda c: (c[1], c[0]))
+                pairs = [(first, second) for i, first in enumerate(cols) for second in cols[i:]
+                         if first != second or (lp[first[0]] + pp[first[1]]) % 2 == 0]
+                assert [arr.pairs for arr in enumerate_arrays(top, bottom, 2) if len(arr) == 2] == pairs
+                for first, second in pairs:
+                    clash = columns_clash(first, second, lp, pp)
+                    assert has_symmetry(TwoRowedArray(top, bottom, [first, second])) is not clash, (lp, pp, first, second)
+                    arrays += 1
+                    asymmetric += clash
+        assert (arrays, asymmetric) == (4050, 784)
 
 
 class TestClosingArray:
