@@ -198,9 +198,12 @@ def _packing(pattern: tuple[int, ...], k_eff: int) -> tuple[int, int, list[int],
 
 
 # The most entries, n * C(n + k_eff, k_eff), of a shared transition table,
-# and the most tables kept.  A table at the bound holds about 0.6 MB for one
-# letter, 0.2 MB for two and less for more.
-_TABLE_ENTRIES = 1 << 13
+# and the most tables kept.  A table at the bound holds at most about 26 KB.
+# A table pays only when later calls share its pattern and k_eff: built for
+# one short word it costs up to 2.4 times the packed loop.  The bound covers
+# 4 letters at k = 3 (140 entries), the largest the benchmark's words need;
+# larger tables are unmeasured.
+_TABLE_ENTRIES = 256
 _TABLES = 32
 
 
